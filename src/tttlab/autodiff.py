@@ -181,16 +181,40 @@ def scale(a: Node, c: float) -> Node:
     return a.tape.push(out, (a,), vjp, "scale")
 
 
+def _shared_weight_vjp(g: np.ndarray, xv: np.ndarray, wv: np.ndarray):
+    """Cotangents of x @ w for a shared 2-D w, each one GEMM over x's folded rows."""
+    g2 = T.fold_rows(g)
+    return (g2 @ wv.T).reshape(xv.shape), T.fold_rows(xv).T @ g2
+
+
 def matmul(a: Node, b: Node) -> Node:
+    """a @ b; a shared 2-D b folds a's leading axes into one GEMM, a stacked b broadcasts."""
     av, bv = a.value, b.value
     out = T.matmul(av, bv)
 
     def vjp(g):
-        da = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
-        db = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
-        return da, db
+        if bv.ndim == 2:
+            da, db = _shared_weight_vjp(g, av, bv)
+        else:
+            da = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
+            db = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
+        return T._check(da, "matmul vjp"), T._check(db, "matmul vjp")
 
     return a.tape.push(out, (a, b), vjp, "matmul")
+
+
+def linear(x: Node, w: Node, b: Node) -> Node:
+    """x @ w + b for a shared [K, N] weight and [N] bias, as one tape op."""
+    xv, wv = x.value, w.value
+    out = T.linear(xv, wv, b.value)
+
+    def vjp(g):
+        dx, dw = _shared_weight_vjp(g, xv, wv)
+        db = T.fold_rows(g).sum(axis=0)
+        return (T._check(dx, "linear vjp"), T._check(dw, "linear vjp"),
+                T._check(db, "linear vjp"))
+
+    return x.tape.push(out, (x, w, b), vjp, "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +341,18 @@ def mean_tokens(a: Node) -> Node:
 
 def silu(a: Node) -> Node:
     x = a.value
-    s = T.sigmoid(x)
-    out = x * s
-    T._tick(x.size)
+    s = T._sigmoid(x)
+    out = T._check(x * s, "silu")
+    T._tick(4 * x.size)
 
     def vjp(g):
-        # SiLU'(x) = s + x s (1 - s), from the saved sigmoid
-        return (g * (s * (1.0 + x * (1.0 - s))),)
+        # SiLU'(x) = s (1 + x (1 - s)) from the saved sigmoid, built in one buffer
+        d = 1.0 - s
+        d *= x
+        d += 1.0
+        d *= s
+        d *= g
+        return (T._check(d, "silu vjp"),)
 
     return a.tape.push(out, (a,), vjp, "silu")
 
@@ -346,7 +375,9 @@ def sigmoid(a: Node) -> Node:
     s = T.sigmoid(a.value)
 
     def vjp(g):
-        return (g * s * (1.0 - s),)
+        d = g * s
+        d *= 1.0 - s
+        return (T._check(d, "sigmoid vjp"),)
 
     return a.tape.push(s, (a,), vjp, "sigmoid")
 
@@ -437,39 +468,38 @@ def colscale(m: Node, s: Node) -> Node:
     return m.tape.push(out, (m, s), vjp, "colscale")
 
 
-def add_rowvec(m: Node, b: Node) -> Node:
-    """Add a bias vector to every row (last axis)."""
-    out = m.value + b.value
-    T._tick(m.value.size)
-
-    def vjp(g):
-        return g, _unbroadcast(g, b.value.shape)
-
-    return m.tape.push(out, (m, b), vjp, "add_rowvec")
-
-
 # ---------------------------------------------------------------------------
 # composite primitives with dedicated backward rules
 
 def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
     xv = x.value
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv
-    out = xhat * gamma.value + beta.value
+    # centre once; the centred rows give the variance and, scaled, xhat
+    xhat = xv - xv.mean(axis=-1, keepdims=True)
+    inv = np.square(xhat).sum(axis=-1, keepdims=True)
+    inv /= xv.shape[-1]
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * gamma.value
+    out += beta.value
     T._tick(8 * xv.size)
 
     def vjp(g):
         dxhat = g * gamma.value
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        dgamma = _unbroadcast(g * xhat, gamma.value.shape)
+        t = dxhat * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        dx = dxhat
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=t)
+        dx *= inv
+        dgamma = _unbroadcast(np.multiply(g, xhat, out=t), gamma.value.shape)
         dbeta = _unbroadcast(g, beta.value.shape)
-        return dx, dgamma, dbeta
+        return (T._check(dx, "layer_norm vjp"), T._check(dgamma, "layer_norm vjp"),
+                T._check(dbeta, "layer_norm vjp"))
 
-    return x.tape.push(out, (x, gamma, beta), vjp, "layer_norm")
+    return x.tape.push(T._check(out, "layer_norm"), (x, gamma, beta), vjp, "layer_norm")
 
 
 def cross_entropy(logits: Node, labels: np.ndarray) -> Node:

@@ -97,13 +97,22 @@ class RunConfig:
         return cls(**doc)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def machine_fingerprint() -> dict:
-    return {
+    """Platform, Python, numpy, CPU count, and the BLAS build with its thread settings."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    fp = {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
+        "blas": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
     }
+    fp.update({var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS})
+    return fp
 
 
 def _write_manifest(rc: RunConfig, outputs: list[str], status: str, extra=None):
@@ -139,14 +148,13 @@ class RecallModel:
 
     def logits_nodes(self, tape: Tape, tokens: np.ndarray):
         leaves = {k: tape.leaf(v, name=k, param=True) for k, v in self.params.items()}
-        x = ad.add_rowvec(ad.matmul(tape.leaf(tokens), leaves["embed.w"]),
-                          leaves["embed.b"])
+        x = ad.linear(tape.leaf(tokens), leaves["embed.w"], leaves["embed.b"])
         h = ad.layer_norm(x, leaves["ln.g"], leaves["ln.b"])
         x = ad.add(x, ttt_attention_nodes(h, leaves, self.layer, self.inner_cfg,
                                           None, prefix="ttt."))
         n = tokens.shape[-2]
         q = ad.reshape(ad.rows(x, n - 1, n), (tokens.shape[0], x.value.shape[-1]))
-        return ad.add_rowvec(ad.matmul(q, leaves["head.w"]), leaves["head.b"])
+        return ad.linear(q, leaves["head.w"], leaves["head.b"])
 
     def loss_and_grads(self, tokens, labels):
         tape = Tape()

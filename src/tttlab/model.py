@@ -113,11 +113,11 @@ class Model:
         cfg = self.cfg
         leaves = self._leaves(tape)
         tok = unfold_patches(images.astype(self.dtype), cfg.patch_size)
-        x = ad.add_rowvec(ad.matmul(tape.leaf(tok), leaves["patch.w"]), leaves["patch.b"])
+        x = ad.linear(tape.leaf(tok), leaves["patch.w"], leaves["patch.b"])
         for i in range(cfg.depth):
             x = ttt_block_nodes(x, leaves, self.layers[i], cfg, prefix=f"b{i}.")
         pooled = ad.mean_tokens(x)
-        return ad.add_rowvec(ad.matmul(pooled, leaves["head.w"]), leaves["head.b"])
+        return ad.linear(pooled, leaves["head.w"], leaves["head.b"])
 
     def loss_and_grads(self, images: np.ndarray, labels: np.ndarray):
         tape = Tape()
@@ -138,9 +138,8 @@ def ttt_block_nodes(x: Node, leaves: dict[str, Node], layer: TTTLayerParams,
     x = ad.add(x, ttt_attention_nodes(h, leaves, layer, cfg.inner, cfg.grid,
                                       prefix=f"{prefix}ttt."))
     h = ad.layer_norm(x, leaves[f"{prefix}ln2.g"], leaves[f"{prefix}ln2.b"])
-    m = ad.silu(ad.add_rowvec(ad.matmul(h, leaves[f"{prefix}mlp.w1"]),
-                              leaves[f"{prefix}mlp.b1"]))
-    m = ad.add_rowvec(ad.matmul(m, leaves[f"{prefix}mlp.w2"]), leaves[f"{prefix}mlp.b2"])
+    m = ad.silu(ad.linear(h, leaves[f"{prefix}mlp.w1"], leaves[f"{prefix}mlp.b1"]))
+    m = ad.linear(m, leaves[f"{prefix}mlp.w2"], leaves[f"{prefix}mlp.b2"])
     return ad.add(x, m)
 
 

@@ -84,15 +84,45 @@ def _tick(n: int) -> None:
 # ---------------------------------------------------------------------------
 # matmul / softmax
 
+def _matmul_shapes(a: np.ndarray, b: np.ndarray, op: str) -> None:
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"{op} needs matrices, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"{op} inner extents differ: {a.shape} @ {b.shape}")
+
+
+def fold_rows(a: np.ndarray) -> np.ndarray:
+    """View [..., M, K] as one [rows, K] matrix (copies only if a is not contiguous)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # A shared 2-D right operand folds a's leading axes into the GEMM rows: one
+    # [rows, K] @ [K, N] call instead of one small product per stacked matrix.
+    # Per-sample right operands keep numpy's broadcast loop.
+    if b.ndim == 2 and a.ndim > 2:
+        return (fold_rows(a) @ b).reshape(*a.shape[:-1], b.shape[-1])
+    return np.matmul(a, b)
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with optional stacked leading axes on either operand."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    out = np.matmul(a, b)
+    _matmul_shapes(a, b, "matmul")
+    out = _gemm(a, b)
     _tick(2 * out.size * a.shape[-1])
     return _check(out, "matmul")
+
+
+def linear(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ w + bias for a shared [K, N] weight: one GEMM, bias added in place."""
+    _matmul_shapes(x, w, "linear")
+    if w.ndim != 2 or bias.shape != w.shape[-1:]:
+        raise DimensionError(f"linear needs a [K, N] weight and [N] bias, got "
+                             f"{w.shape} and {bias.shape}")
+    out = _gemm(x, w)
+    out += bias
+    _tick(2 * out.size * x.shape[-1] + out.size)
+    return _check(out, "linear")
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -107,16 +137,26 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise family
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # tanh form 0.5 * (tanh(0.5 x) + 1): stable at both tails; every pass runs
+    # in place on one buffer
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form: stable at both tails, one vectorized ufunc
-    out = 0.5 * (np.tanh(0.5 * x) + 1.0)
+    out = _sigmoid(x)
     _tick(3 * x.size)
     return _check(out, "sigmoid")
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    out = x * sigmoid(x)
-    _tick(x.size)
+    out = _sigmoid(x)
+    out *= x
+    _tick(4 * x.size)
     return _check(out, "silu")
 
 
@@ -197,7 +237,11 @@ def _as_batched_grid(x: np.ndarray, op: str) -> tuple[np.ndarray, bool]:
 
 
 def _pad_grid(x: np.ndarray) -> np.ndarray:
-    return np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    """One ring of zeros around each [H, W] grid of a [b, H, W, C] batch."""
+    b, h, w, c = x.shape
+    xp = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    xp[:, 1:-1, 1:-1, :] = x
+    return xp
 
 
 def dwconv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -208,11 +252,12 @@ def dwconv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise DimensionError(f"dwconv3x3 kernel {k.shape} does not match C={c}")
     xp = _pad_grid(xb)
     out = np.zeros_like(xb)
+    prod = np.empty_like(xb)
     per_sample = k.ndim == 4
     for u in range(3):
         for v in range(3):
             tap = k[:, u, v, None, None, :] if per_sample else k[u, v]
-            out += xp[:, u:u + h, v:v + w, :] * tap
+            out += np.multiply(xp[:, u:u + h, v:v + w, :], tap, out=prod)
     _tick(2 * 9 * xb.size)
     out = _check(out, "dwconv3x3")
     return out[0] if squeeze else out
@@ -224,15 +269,17 @@ def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) -> np
     gb, _ = _as_batched_grid(g, "dwconv3x3_wgrad")
     b, h, w, c = xb.shape
     xp = _pad_grid(xb)
-    out = np.empty((b, 3, 3, c), dtype=xb.dtype)
+    # each tap is one contraction of g with a shifted window of x, reduced over
+    # the grid (per sample) or over batch and grid (shared kernel)
+    if per_sample:
+        out, spec = np.empty((b, 3, 3, c), dtype=xb.dtype), "bhwc,bhwc->bc"
+    else:
+        out, spec = np.empty((3, 3, c), dtype=xb.dtype), "bhwc,bhwc->c"
     for u in range(3):
         for v in range(3):
-            out[:, u, v, :] = (gb * xp[:, u:u + h, v:v + w, :]).sum(axis=(1, 2))
+            np.einsum(spec, gb, xp[:, u:u + h, v:v + w, :], out=out[..., u, v, :])
     _tick(2 * 9 * xb.size)
-    out = _check(out, "dwconv3x3_wgrad")
-    if not per_sample:
-        out = out.sum(axis=0)
-    return out
+    return _check(out, "dwconv3x3_wgrad")
 
 
 def _patches(xb: np.ndarray) -> np.ndarray:
@@ -285,18 +332,6 @@ def flip_dw(k: np.ndarray) -> np.ndarray:
 def flip_full(k: np.ndarray) -> np.ndarray:
     """Adjoint of a full kernel [..., 3, 3, Cin, Cout]: rotate and swap channel roles."""
     return np.ascontiguousarray(np.swapaxes(np.flip(k, axis=(-4, -3)), -1, -2))
-
-
-def conv3x3(x: np.ndarray, w: np.ndarray, groups: int) -> np.ndarray:
-    """3x3 conv on one [H, W, d] grid; groups in {1 (full), d (depthwise)}."""
-    if x.ndim != 3:
-        raise GridError(f"conv3x3 needs an [H, W, d] grid, got shape {x.shape}")
-    d = x.shape[-1]
-    if groups == d:
-        return dwconv3x3(x, w)
-    if groups == 1:
-        return conv3x3_full(x, w)
-    raise DimensionError(f"groups must be 1 or d={d}, got {groups}")
 
 
 # ---------------------------------------------------------------------------

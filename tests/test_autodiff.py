@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tttlab import autodiff as ad
+from tttlab import tensor as T
 from tttlab.autodiff import ContractError, OracleError, Tape, gradcheck
 from tttlab.inner import InnerTrainConfig
 from tttlab.layer import TTTLayerParams, ttt_attention_nodes
@@ -98,6 +99,31 @@ class TestPerOpGradients:
                              t.leaf(p["b"], name="b", param=True))
             return ad.sum_all(ad.mul(prod, prod))
         assert gradcheck(f, {"a": a0, "b": b0}) < 1e-7
+
+    def test_linear(self):
+        for xshape in ((2, 3, 4), (3, 4)):
+            x0 = RNG.standard_normal(xshape)
+            w0 = RNG.standard_normal((4, 5))
+            b0 = RNG.standard_normal(5)
+
+            def f(p):
+                t = Tape()
+                out = ad.linear(t.leaf(p["x"], name="x", param=True),
+                                t.leaf(p["w"], name="w", param=True),
+                                t.leaf(p["b"], name="b", param=True))
+                return ad.sum_all(ad.mul(out, out))
+            assert gradcheck(f, {"x": x0, "w": w0, "b": b0}) < 1e-7
+
+    def test_linear_counts_like_matmul_plus_bias(self):
+        x0, w0, b0 = RNG.standard_normal((2, 3, 4)), RNG.standard_normal((4, 5)), np.zeros(5)
+        t = Tape()
+        with T.count_flops() as fc:
+            ad.linear(t.leaf(x0), t.leaf(w0), t.leaf(b0))
+        m, k, n = 2 * 3, 4, 5
+        assert fc.total == 2 * m * k * n + m * n
+        with T.count_flops() as ref:
+            T.matmul(x0, w0)
+        assert fc.total == ref.total + m * n
 
     def test_colscale_matscale(self):
         m0 = RNG.standard_normal((2, 4, 3))

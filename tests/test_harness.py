@@ -38,9 +38,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_json('{"no_such_field": 1}')
 
-    def test_fingerprint_keys(self):
+    def test_fingerprint_keys(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         fp = machine_fingerprint()
-        assert {"platform", "python", "numpy", "cpus"} <= set(fp)
+        assert {"platform", "python", "numpy", "cpus", "blas", "blas_version",
+                "OMP_NUM_THREADS"} <= set(fp)
+        assert isinstance(fp["blas"], str) and fp["blas"]
+        assert fp["OPENBLAS_NUM_THREADS"] == "3" and fp["MKL_NUM_THREADS"] == "unset"
 
 
 class TestCmdTrain:

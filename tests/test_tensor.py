@@ -62,32 +62,35 @@ class TestConv3x3:
     def test_ones_grid_corner(self):
         x = np.ones((2, 2, 1))
         k = np.ones((3, 3, 1))
-        out = T.conv3x3(x, k, groups=1 if False else 1)
-        # every output cell sees all four ones with zero padding
-        assert np.allclose(out, 4.0)
+        # with one channel the depthwise and the full conv coincide; every
+        # output cell sees all four ones with zero padding
+        assert np.allclose(T.dwconv3x3(x, k), 4.0)
+        assert np.allclose(T.conv3x3_full(x, k[..., None]), 4.0)
 
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 5, 3))
         k = np.zeros((3, 3, 3))
         k[1, 1, :] = 1.0
-        assert np.allclose(T.conv3x3(x, k, groups=3), x, atol=0)
+        assert np.allclose(T.dwconv3x3(x, k), x, atol=0)
 
     def test_depthwise_against_sliding_window(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 5, 3))
         k = rng.standard_normal((3, 3, 3))
-        assert np.abs(T.conv3x3(x, k, groups=3) - naive_conv3x3(x, k, True)).max() < 1e-12
+        assert np.abs(T.dwconv3x3(x, k) - naive_conv3x3(x, k, True)).max() < 1e-12
 
     def test_full_against_sliding_window(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 5, 3))
         k = rng.standard_normal((3, 3, 3, 2))
-        assert np.abs(T.conv3x3(x, k, groups=1) - naive_conv3x3(x, k, False)).max() < 1e-12
+        assert np.abs(T.conv3x3_full(x, k) - naive_conv3x3(x, k, False)).max() < 1e-12
 
     def test_non_grid_input(self):
         with pytest.raises(T.GridError):
-            T.conv3x3(np.zeros((6, 3)), np.zeros((3, 3, 3)), groups=3)
+            T.dwconv3x3(np.zeros((6, 3)), np.zeros((3, 3, 3)))
+        with pytest.raises(T.GridError):
+            T.conv3x3_full(np.zeros((6, 3)), np.zeros((3, 3, 3, 3)))
 
     def test_per_sample_kernels_match_loop(self):
         rng = np.random.default_rng(5)
