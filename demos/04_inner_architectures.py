@@ -33,7 +33,7 @@ for name in ARCH_NAMES:
 
     err = gradcheck(f, {k: np.asarray(w) for k, w in params.named_arrays().items()})
     fwd = arch_forward_flops(name, n, dim)
-    cost = inner_head_flops(name, "mse", n, dim, 1, 1, False)
+    cost = inner_head_flops(name, "mse", n, dim, 1, 1, False, grid)
     print(f"{name:>14s} {weight_count(name, dim):>8d} {fwd:>10d} "
           f"{cost['convention'] / fwd:>10.2f}x {err:>10.2e}")
 

@@ -334,11 +334,11 @@ def ablate_cell(args: tuple) -> dict:
     rc.out_dir = os.path.join(rc.out_dir, "cells",
                               _cell_name(overrides).replace("=", "_") + f"_s{seed}")
     os.makedirs(rc.out_dir, exist_ok=True)
-    n_tok = rc.model_config().tokens if rc.task == "cifar" else rc.recall_seq
+    mc = rc.model_config()
+    n_tok, grid = (mc.tokens, mc.grid) if rc.task == "cifar" else (rc.recall_seq, None)
     archs = (tuple(rc.head_archs) if rc.head_archs else
-             (rc.model_config().head_archs if rc.task == "cifar"
-              else ("gated_fc",) * rc.heads))
-    layer_fl = ttt_layer_flops(n_tok, rc.dim, rc.heads, archs, rc.inner_config())
+             (mc.head_archs if rc.task == "cifar" else ("gated_fc",) * rc.heads))
+    layer_fl = ttt_layer_flops(n_tok, rc.dim, rc.heads, archs, rc.inner_config(), grid)
     try:
         if rc.task == "cifar":
             report = _train_cifar(rc)

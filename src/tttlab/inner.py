@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -120,10 +121,12 @@ def partition_batches(n: int, parts: int) -> list[tuple[int, int]]:
 # inner architectures
 
 class InnerArch:
-    """One F_W architecture: init, forward, and analytic weight gradients.
+    """One F_W architecture: init, and a forward that returns its pullback.
 
-    Forward/weight_grads operate on token rows [.., B, d]; conv architectures
-    additionally need the (H, W) grid the rows raster-scan.
+    `forward_pullback` runs the forward once on token rows [.., B, d] and
+    returns (out, pullback); `pullback(dvhat)` builds the analytic weight
+    gradients as tape expressions from that forward's own nodes. Conv
+    architectures additionally need the (H, W) grid the rows raster-scan.
     """
 
     name: str = ""
@@ -140,11 +143,16 @@ class InnerArch:
             ws.append(rng.uniform(-bound, bound, size=shape).astype(dtype))
         return ws
 
-    def forward(self, ws: list[Node], x: Node, grid=None) -> Node:
+    def forward_pullback(self, ws: list[Node], x: Node,
+                         grid=None) -> tuple[Node, Callable[[Node], list[Node]]]:
         raise NotImplementedError
 
-    def weight_grads(self, ws: list[Node], x: Node, dvhat: Node, grid=None) -> list[Node]:
-        raise NotImplementedError
+    def forward(self, ws: list[Node], x: Node, grid=None) -> Node:
+        return self.forward_pullback(ws, x, grid)[0]
+
+    def context(self, lo: int, hi: int, grid=None) -> tuple[int, int]:
+        """Token rows [clo, chi) whose inputs determine the outputs [lo, hi)."""
+        return lo, hi
 
 
 class FC(InnerArch):
@@ -153,11 +161,11 @@ class FC(InnerArch):
     def weight_shapes(self, d):
         return [(d, d)]
 
-    def forward(self, ws, x, grid=None):
-        return ad.matmul(x, ws[0])
+    def forward_pullback(self, ws, x, grid=None):
+        def pullback(dv):
+            return [ad.matmul(ad.transpose(x), dv)]
 
-    def weight_grads(self, ws, x, dvhat, grid=None):
-        return [ad.matmul(ad.transpose(x), dvhat)]
+        return ad.matmul(x, ws[0]), pullback
 
 
 class SiLUFC(InnerArch):
@@ -166,12 +174,13 @@ class SiLUFC(InnerArch):
     def weight_shapes(self, d):
         return [(d, d)]
 
-    def forward(self, ws, x, grid=None):
-        return ad.silu(ad.matmul(x, ws[0]))
-
-    def weight_grads(self, ws, x, dvhat, grid=None):
+    def forward_pullback(self, ws, x, grid=None):
         z = ad.matmul(x, ws[0])
-        return [ad.matmul(ad.transpose(x), ad.mul(dvhat, ad.silu_prime(z)))]
+
+        def pullback(dv):
+            return [ad.matmul(ad.transpose(x), ad.mul(dv, ad.silu_prime(z)))]
+
+        return ad.silu(z), pullback
 
 
 class MLP(InnerArch):
@@ -190,29 +199,22 @@ class MLP(InnerArch):
             return [(d, h), (h, d)]
         return [(d, h), (h, h), (h, d)]
 
-    def forward(self, ws, x, grid=None):
-        h = ad.silu(ad.matmul(x, ws[0]))
-        if self.layers == 3:
-            h = ad.silu(ad.matmul(h, ws[1]))
-        return ad.matmul(h, ws[-1])
+    def forward_pullback(self, ws, x, grid=None):
+        zs, hs = [], [x]                 # pre-activations, layer inputs
+        for w in ws[:-1]:
+            zs.append(ad.matmul(hs[-1], w))
+            hs.append(ad.silu(zs[-1]))
 
-    def weight_grads(self, ws, x, dvhat, grid=None):
-        z1 = ad.matmul(x, ws[0])
-        h1 = ad.silu(z1)
-        if self.layers == 2:
-            dw2 = ad.matmul(ad.transpose(h1), dvhat)
-            dh1 = ad.matmul(dvhat, ad.transpose(ws[1]))
-            dw1 = ad.matmul(ad.transpose(x), ad.mul(dh1, ad.silu_prime(z1)))
-            return [dw1, dw2]
-        z2 = ad.matmul(h1, ws[1])
-        h2 = ad.silu(z2)
-        dw3 = ad.matmul(ad.transpose(h2), dvhat)
-        dh2 = ad.matmul(dvhat, ad.transpose(ws[2]))
-        da2 = ad.mul(dh2, ad.silu_prime(z2))
-        dw2 = ad.matmul(ad.transpose(h1), da2)
-        dh1 = ad.matmul(da2, ad.transpose(ws[1]))
-        dw1 = ad.matmul(ad.transpose(x), ad.mul(dh1, ad.silu_prime(z1)))
-        return [dw1, dw2, dw3]
+        def pullback(dv):
+            grads = [ad.matmul(ad.transpose(hs[-1]), dv)]
+            da = dv
+            for j in reversed(range(len(zs))):
+                dh = ad.matmul(da, ad.transpose(ws[j + 1]))
+                da = ad.mul(dh, ad.silu_prime(zs[j]))
+                grads.insert(0, ad.matmul(ad.transpose(hs[j]), da))
+            return grads
+
+        return ad.matmul(hs[-1], ws[-1]), pullback
 
 
 class MLPResidual(MLP):
@@ -222,8 +224,9 @@ class MLPResidual(MLP):
         super().__init__(ratio=1, layers=2)
         self.name = "mlp_residual"
 
-    def forward(self, ws, x, grid=None):
-        return ad.add(ad.matmul(ad.silu(ad.matmul(x, ws[0])), ws[1]), x)
+    def forward_pullback(self, ws, x, grid=None):
+        out, pullback = super().forward_pullback(ws, x, grid)
+        return ad.add(out, x), pullback
 
 
 class MLPPlusIdentity(MLP):
@@ -233,17 +236,16 @@ class MLPPlusIdentity(MLP):
         super().__init__(ratio=1, layers=2)
         self.name = "mlp_w2_plus_i"
 
-    def forward(self, ws, x, grid=None):
-        h = ad.silu(ad.matmul(x, ws[0]))
-        return ad.add(ad.matmul(h, ws[1]), h)
+    def forward_pullback(self, ws, x, grid=None):
+        z = ad.matmul(x, ws[0])
+        h = ad.silu(z)
 
-    def weight_grads(self, ws, x, dvhat, grid=None):
-        z1 = ad.matmul(x, ws[0])
-        h1 = ad.silu(z1)
-        dw2 = ad.matmul(ad.transpose(h1), dvhat)
-        dh1 = ad.add(ad.matmul(dvhat, ad.transpose(ws[1])), dvhat)
-        dw1 = ad.matmul(ad.transpose(x), ad.mul(dh1, ad.silu_prime(z1)))
-        return [dw1, dw2]
+        def pullback(dv):
+            dw2 = ad.matmul(ad.transpose(h), dv)
+            dh = ad.add(ad.matmul(dv, ad.transpose(ws[1])), dv)
+            return [ad.matmul(ad.transpose(x), ad.mul(dh, ad.silu_prime(z))), dw2]
+
+        return ad.add(ad.matmul(h, ws[1]), h), pullback
 
 
 class MLPIdentityInit(MLP):
@@ -267,20 +269,21 @@ class SwiGLU(InnerArch):
     def weight_shapes(self, d):
         return [(d, d), (d, d), (d, d)]
 
-    def forward(self, ws, x, grid=None):
-        h = ad.mul(ad.silu(ad.matmul(x, ws[0])), ad.matmul(x, ws[1]))
-        return ad.matmul(h, ws[2])
-
-    def weight_grads(self, ws, x, dvhat, grid=None):
+    def forward_pullback(self, ws, x, grid=None):
         a = ad.matmul(x, ws[0])
         b = ad.matmul(x, ws[1])
         sa = ad.silu(a)
         h = ad.mul(sa, b)
-        dw3 = ad.matmul(ad.transpose(h), dvhat)
-        dh = ad.matmul(dvhat, ad.transpose(ws[2]))
-        dw2 = ad.matmul(ad.transpose(x), ad.mul(dh, sa))
-        dw1 = ad.matmul(ad.transpose(x), ad.mul(ad.mul(dh, b), ad.silu_prime(a)))
-        return [dw1, dw2, dw3]
+
+        def pullback(dv):
+            dw3 = ad.matmul(ad.transpose(h), dv)
+            dh = ad.matmul(dv, ad.transpose(ws[2]))
+            xt = ad.transpose(x)
+            dw2 = ad.matmul(xt, ad.mul(dh, sa))
+            dw1 = ad.matmul(xt, ad.mul(ad.mul(dh, b), ad.silu_prime(a)))
+            return [dw1, dw2, dw3]
+
+        return ad.matmul(h, ws[2]), pullback
 
 
 class GatedFC(InnerArch):
@@ -291,15 +294,17 @@ class GatedFC(InnerArch):
     def weight_shapes(self, d):
         return [(d, d), (d, d)]
 
-    def forward(self, ws, x, grid=None):
-        return ad.mul(ad.matmul(x, ws[0]), ad.silu(ad.matmul(x, ws[1])))
-
-    def weight_grads(self, ws, x, dvhat, grid=None):
+    def forward_pullback(self, ws, x, grid=None):
         za = ad.matmul(x, ws[0])
         zb = ad.matmul(x, ws[1])
-        dwa = ad.matmul(ad.transpose(x), ad.mul(dvhat, ad.silu(zb)))
-        dwb = ad.matmul(ad.transpose(x), ad.mul(ad.mul(dvhat, za), ad.silu_prime(zb)))
-        return [dwa, dwb]
+        sb = ad.silu(zb)
+
+        def pullback(dv):
+            xt = ad.transpose(x)
+            return [ad.matmul(xt, ad.mul(dv, sb)),
+                    ad.matmul(xt, ad.mul(ad.mul(dv, za), ad.silu_prime(zb)))]
+
+        return ad.mul(za, sb), pullback
 
 
 def _to_grid(x: Node, grid) -> Node:
@@ -318,6 +323,7 @@ class Conv3x3(InnerArch):
 
     name = "conv3x3"
     requires_grid = True
+    depthwise = False
 
     def weight_shapes(self, d):
         return [(3, 3, d, d)]
@@ -326,27 +332,37 @@ class Conv3x3(InnerArch):
         bound = 1.0 / math.sqrt(9 * d)
         return [rng.uniform(-bound, bound, size=(3, 3, d, d)).astype(dtype)]
 
-    def forward(self, ws, x, grid=None):
-        self._need_grid(x, grid)
-        return _to_rows(ad.conv3x3(_to_grid(x, grid), ws[0]))
-
-    def weight_grads(self, ws, x, dvhat, grid=None):
-        self._need_grid(x, grid)
-        g = ad.conv3x3_wgrad(_to_grid(x, grid), _to_grid(dvhat, grid))
-        if x.value.ndim == 2:
-            g = ad.reshape(g, g.value.shape[1:])
-        return [g]
-
-    def _need_grid(self, x, grid):
+    def forward_pullback(self, ws, x, grid=None):
         if grid is None or grid[0] * grid[1] != x.value.shape[-2]:
             raise T.GridError(
                 f"{self.name} needs a grid matching {x.value.shape[-2]} tokens, got {grid}")
+        conv, wgrad = ((ad.dwconv3x3, ad.dwconv3x3_wgrad) if self.depthwise
+                       else (ad.conv3x3, ad.conv3x3_wgrad))
+        xg = _to_grid(x, grid)
+
+        def pullback(dv):
+            g = wgrad(xg, _to_grid(dv, grid))
+            if x.value.ndim == 2:
+                g = ad.reshape(g, g.value.shape[1:])
+            return [g]
+
+        return _to_rows(conv(xg, ws[0])), pullback
+
+    def context(self, lo, hi, grid=None):
+        # the grid rows of [lo, hi) plus the row above and below that a 3x3 tap
+        # reads; clamping keeps the sub-grid's zero padding on the grid border
+        if grid is None or hi > grid[0] * grid[1]:
+            raise T.GridError(f"{self.name} needs an (H, W) grid covering {hi} tokens, "
+                              f"got {grid}")
+        hp, wp = grid
+        return max(lo // wp - 1, 0) * wp, min(-(-hi // wp) + 1, hp) * wp
 
 
 class DWConv3x3(Conv3x3):
     """Depthwise 3x3 convolution: one kernel per channel."""
 
     name = "dwconv3x3"
+    depthwise = True
 
     def weight_shapes(self, d):
         return [(3, 3, d)]
@@ -354,17 +370,6 @@ class DWConv3x3(Conv3x3):
     def init(self, rng, d, dtype=np.float64):
         bound = 1.0 / 3.0
         return [rng.uniform(-bound, bound, size=(3, 3, d)).astype(dtype)]
-
-    def forward(self, ws, x, grid=None):
-        self._need_grid(x, grid)
-        return _to_rows(ad.dwconv3x3(_to_grid(x, grid), ws[0]))
-
-    def weight_grads(self, ws, x, dvhat, grid=None):
-        self._need_grid(x, grid)
-        g = ad.dwconv3x3_wgrad(_to_grid(x, grid), _to_grid(dvhat, grid))
-        if x.value.ndim == 2:
-            g = ad.reshape(g, g.value.shape[1:])
-        return [g]
 
 
 _FIXED_ARCHS = {a.name: a for a in (
@@ -443,41 +448,35 @@ def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
     """Unrolled inner training on the tape; returns the adapted weight nodes.
 
     `rate` is the per-token learning rate [.., N] (already scaled by eta); when
-    None, the fixed rate cfg.lr scales each step instead.
+    None, the fixed rate cfg.lr scales each step instead. Each mini-batch runs
+    the forward once, on the rows its outputs depend on (`arch.context`), and
+    its pullback on the same rows.
     """
     n = k.value.shape[-2]
-    ranges = partition_batches(n, cfg.parts)
-    for _ in range(cfg.epochs):
-        for lo, hi in ranges:
-            whole = lo == 0 and hi == n
-            if arch.requires_grid:
-                vhat = arch.forward(ws, k, grid)
-                vhat_b = vhat if whole else ad.rows(vhat, lo, hi)
-                v_b = v if whole else ad.rows(v, lo, hi)
-                dv = loss_grad(cfg.loss, vhat_b, v_b)
-                if rate is not None:
-                    r = rate if whole else _slice_rate(rate, lo, hi)
-                    dv = ad.colscale(dv, r)
-                if not whole:
-                    dv = ad.pad_rows(dv, n, lo, hi)
-                grads = arch.weight_grads(ws, k, dv, grid)
-            else:
-                k_b = k if whole else ad.rows(k, lo, hi)
-                v_b = v if whole else ad.rows(v, lo, hi)
-                vhat = arch.forward(ws, k_b)
-                dv = loss_grad(cfg.loss, vhat, v_b)
-                if rate is not None:
-                    r = rate if whole else _slice_rate(rate, lo, hi)
-                    dv = ad.colscale(dv, r)
-                grads = arch.weight_grads(ws, k_b, dv)
+    for epoch in range(cfg.epochs):
+        for part, (lo, hi) in enumerate(partition_batches(n, cfg.parts)):
+            clo, chi = arch.context(lo, hi, grid)
+            sub = ((chi - clo) // grid[1], grid[1]) if arch.requires_grid else None
+            vhat, pullback = arch.forward_pullback(ws, _rows(k, clo, chi), sub)
+            dv = loss_grad(cfg.loss, _rows(vhat, lo - clo, hi - clo), _rows(v, lo, hi))
+            if rate is not None:
+                r = rate if (lo, hi) == (0, n) else _slice_rate(rate, lo, hi)
+                dv = ad.colscale(dv, r)
+            if (clo, chi) != (lo, hi):
+                dv = ad.pad_rows(dv, chi - clo, lo - clo, hi - clo)
+            grads = pullback(dv)
             if rate is None:
                 grads = [ad.scale(g, cfg.lr) for g in grads]
             ws = [ad.sub(w, g) for w, g in zip(ws, grads)]
-    for w in ws:
-        if not np.isfinite(w.value).all():
-            raise DivergenceError(f"{arch.name} inner weights diverged "
-                                  f"(loss={cfg.loss}, lr={cfg.lr}, epochs={cfg.epochs})")
+            if not all(np.isfinite(w.value).all() for w in ws):
+                raise DivergenceError(
+                    f"{arch.name} inner weights diverged at epoch {epoch + 1}/{cfg.epochs}, "
+                    f"part {part + 1}/{cfg.parts} (loss={cfg.loss}, lr={cfg.lr})")
     return ws
+
+
+def _rows(a: Node, lo: int, hi: int) -> Node:
+    return a if (lo, hi) == (0, a.value.shape[-2]) else ad.rows(a, lo, hi)
 
 
 def _slice_rate(rate: Node, lo: int, hi: int) -> Node:

@@ -16,7 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor as T
 from .autodiff import Node, Tape
-from .inner import InnerModel, InnerTrainConfig, dynamic_rate, get_arch, inner_update_nodes
+from .inner import (DivergenceError, InnerModel, InnerTrainConfig, dynamic_rate, get_arch,
+                    inner_update_nodes)
 
 
 class NormalizationError(FloatingPointError):
@@ -96,7 +97,10 @@ def ttt_attention_nodes(x: Node, leaves: dict[str, Node], params: TTTLayerParams
         if cfg.dynamic_lr:
             rate = dynamic_rate(x, leaves[f"{prefix}h{h}.weta"], cfg.lr)
         ws = [leaves[f"{prefix}h{h}.w0.{j}"] for j in range(len(params.inner[h].weights))]
-        ws_star = inner_update_nodes(arch, ws, k, v, cfg, rate, grid)
+        try:
+            ws_star = inner_update_nodes(arch, ws, k, v, cfg, rate, grid)
+        except DivergenceError as e:
+            raise DivergenceError(f"{prefix}h{h}: {e}") from e
         outs.append(arch.forward(ws_star, q, grid))
     return ad.matmul(ad.concat_last(outs), leaves[f"{prefix}wo"])
 

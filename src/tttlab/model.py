@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor as T
 from .autodiff import Node, Tape
-from .inner import InnerTrainConfig, get_arch
+from .inner import InnerTrainConfig, get_arch, partition_batches
 from .layer import TTTLayerParams, ttt_attention_nodes
 
 
@@ -237,20 +237,9 @@ def arch_forward_flops(name: str, n: int, d: int) -> int:
         return 2 * n * d * d
     if name == "silu_fc":
         return 2 * n * d * d + 4 * n * d
-    if name.startswith("mlp_r"):
-        arch = get_arch(name)
-        r, l = arch.ratio, arch.layers
-        h = r * d
-        if l == 2:
-            return 4 * n * d * h + 4 * n * h
-        return 2 * n * d * h + 2 * n * h * h + 2 * n * h * d + 8 * n * h
     if name == "swiglu":
         return 6 * n * d * d + 5 * n * d
-    if name == "gated_fc":
-        return 4 * n * d * d + 5 * n * d
-    if name == "mlp_residual":
-        return 4 * n * d * d + 5 * n * d
-    if name == "mlp_w2_plus_i":
+    if name in ("gated_fc", "mlp_residual", "mlp_w2_plus_i"):
         return 4 * n * d * d + 5 * n * d
     if name == "mlp_w2_init_i":
         return 4 * n * d * d + 4 * n * d
@@ -258,41 +247,42 @@ def arch_forward_flops(name: str, n: int, d: int) -> int:
         return 18 * n * d * d
     if name == "dwconv3x3":
         return 18 * n * d
-    raise ValueError(name)
+    arch = get_arch(name)                               # mlp_r{r}_l{l}
+    h = arch.ratio * d
+    if arch.layers == 2:
+        return 4 * n * d * h + 4 * n * h
+    return 2 * n * d * h + 2 * n * h * h + 2 * n * h * d + 8 * n * h
 
 
 def arch_wgrad_flops(name: str, n: int, d: int) -> int:
-    """Cost of the analytic weight-gradient expressions as actually executed."""
+    """Cost of the pullback's weight-gradient expressions as actually executed."""
     if name == "fc":
         return 2 * n * d * d
     if name == "silu_fc":
-        return 4 * n * d * d + 7 * n * d
-    if name.startswith("mlp_r"):
-        arch = get_arch(name)
-        r, l = arch.ratio, arch.layers
-        h = r * d
-        if l == 2:
-            return 8 * n * d * h + 11 * n * h
-        return 8 * n * d * h + 6 * n * h * h + 22 * n * h
+        return 2 * n * d * d + 7 * n * d
     if name == "swiglu":
-        return 10 * n * d * d + 14 * n * d
+        return 8 * n * d * d + 9 * n * d
     if name == "gated_fc":
-        return 8 * n * d * d + 13 * n * d
-    if name == "mlp_residual":
-        return 8 * n * d * d + 11 * n * d
+        return 4 * n * d * d + 9 * n * d
+    if name in ("mlp_residual", "mlp_w2_init_i"):
+        return 6 * n * d * d + 7 * n * d
     if name == "mlp_w2_plus_i":
-        return 8 * n * d * d + 12 * n * d
-    if name == "mlp_w2_init_i":
-        return 8 * n * d * d + 11 * n * d
+        return 6 * n * d * d + 8 * n * d
     if name == "conv3x3":
         return 18 * n * d * d
     if name == "dwconv3x3":
         return 18 * n * d
-    raise ValueError(name)
+    arch = get_arch(name)                               # mlp_r{r}_l{l}
+    h = arch.ratio * d
+    if arch.layers == 2:
+        return 6 * n * d * h + 7 * n * h
+    return 6 * n * d * h + 4 * n * h * h + 14 * n * h
 
 
 def loss_grad_flops(kind: str, n: int, d: int) -> int:
-    return {"dot": 1, "mse": 2, "rmse": 5, "mae": 2, "smooth_l1": 4}[kind] * n * d
+    """Cost of one mini-batch's loss gradient on n rows (rmse adds its scalar norm)."""
+    per_entry = {"dot": 1, "mse": 2, "rmse": 5, "mae": 3, "smooth_l1": 4}[kind]
+    return per_entry * n * d + (2 if kind == "rmse" else 0)
 
 
 def weight_count(name: str, d: int) -> int:
@@ -300,23 +290,28 @@ def weight_count(name: str, d: int) -> int:
 
 
 def inner_head_flops(name: str, kind: str, n: int, d: int, epochs: int, parts: int,
-                     dynamic_lr: bool) -> dict:
-    """Executed cost and the forward-equivalent convention cost of one inner head."""
-    fwd = arch_forward_flops(name, n, d)
-    wsize = weight_count(name, d)
-    step = (1 if dynamic_lr else 2) * wsize * parts   # [scale+]sub per update
-    lg = loss_grad_flops(kind, n, d)
+                     dynamic_lr: bool, grid=None) -> dict:
+    """Executed cost and the forward-equivalent convention cost of one inner head.
+
+    Each mini-batch runs its forward and pullback on the rows `arch.context`
+    names: the batch itself, or for conv heads (which need the (H, W) grid)
+    its grid rows plus a one-row halo.
+    """
+    arch = get_arch(name)
+    ranges = partition_batches(n, parts)
+    ctx = sum(chi - clo for clo, chi in (arch.context(lo, hi, grid) for lo, hi in ranges))
+    fwd, ctx_fwd = arch_forward_flops(name, n, d), arch_forward_flops(name, ctx, d)
+    lg = sum(loss_grad_flops(kind, hi - lo, d) for lo, hi in ranges)
     if dynamic_lr:
         lg += n * d                                    # colscale by the token rates
-    # conv forwards run on the whole grid once per update; row-batched archs
-    # cover exactly n rows per epoch regardless of the partition
-    fwd_per_epoch = parts * fwd if get_arch(name).requires_grid else fwd
-    executed = epochs * (fwd_per_epoch + lg + arch_wgrad_flops(name, n, d) + step) + fwd
-    convention = epochs * (fwd_per_epoch + 2 * fwd + lg + step) + fwd
+    step = (1 if dynamic_lr else 2) * weight_count(name, d) * parts   # [scale+]sub per update
+    executed = epochs * (ctx_fwd + arch_wgrad_flops(name, ctx, d) + lg + step) + fwd
+    convention = epochs * (ctx_fwd + 2 * fwd + lg + step) + fwd
     return {"executed": executed, "convention": convention, "module_forward": fwd}
 
 
-def ttt_layer_flops(n: int, dim: int, heads: int, head_archs, inner: InnerTrainConfig) -> dict:
+def ttt_layer_flops(n: int, dim: int, heads: int, head_archs, inner: InnerTrainConfig,
+                    grid=None) -> dict:
     d = dim // heads
     proj = 3 * heads * 2 * n * dim * d
     if inner.dynamic_lr:
@@ -325,7 +320,7 @@ def ttt_layer_flops(n: int, dim: int, heads: int, head_archs, inner: InnerTrainC
     inner_exec = inner_conv = mod_fwd = 0
     for name in head_archs:
         f = inner_head_flops(name, inner.loss, n, d, inner.epochs, inner.parts,
-                             inner.dynamic_lr)
+                             inner.dynamic_lr, grid)
         inner_exec += f["executed"]
         inner_conv += f["convention"]
         mod_fwd += f["module_forward"]
@@ -356,7 +351,7 @@ def flops_estimate(cfg: ModelConfig) -> dict:
     """
     n, c = cfg.tokens, cfg.dim
     patch = 2 * n * (cfg.patch_size ** 2 * 3) * c + n * c
-    layer = ttt_layer_flops(n, c, cfg.heads, cfg.head_archs, cfg.inner)
+    layer = ttt_layer_flops(n, c, cfg.heads, cfg.head_archs, cfg.inner, cfg.grid)
     hid = int(cfg.mlp_ratio * c)
     mlp = 2 * n * c * hid + 4 * n * hid + 2 * n * hid * c + n * hid + n * c
     cpe = 18 * n * c

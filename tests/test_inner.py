@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tttlab import autodiff as ad
 from tttlab import tensor as T
+from tttlab.autodiff import Tape
 from tttlab.inner import (ARCH_NAMES, DivergenceError, InnerModel,
-                          InnerTrainConfig, PartitionError, get_arch,
-                          inner_forward, inner_loss, inner_loss_grad,
-                          inner_update, mixed_second_derivative,
-                          partition_batches)
+                          InnerTrainConfig, PartitionError, dynamic_rate,
+                          get_arch, inner_forward, inner_loss, inner_loss_grad,
+                          inner_update, inner_update_nodes, loss_grad,
+                          mixed_second_derivative, partition_batches)
 
 RNG = np.random.default_rng(21)
 
@@ -306,8 +308,16 @@ class TestInnerUpdate:
         v = rng.standard_normal((6, 4))
         cfg = InnerTrainConfig(loss="mse", epochs=60, lr=100.0)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DivergenceError):
+                pytest.raises(DivergenceError) as err:
             inner_update(m, k, v, cfg)
+        # the first epoch whose closed-form step (same op order) leaves the finite range
+        w = m.weights[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, 61):
+                w = w - (k.T @ ((k @ w - v) * (1.0 / (6 * 2.0)))) * 100.0
+                if not np.isfinite(w).all():
+                    break
+        assert f"fc inner weights diverged at epoch {epoch}/60, part 1/1" in str(err.value)
 
     def test_grid_update_shapes(self):
         rng = np.random.default_rng(10)
@@ -321,3 +331,114 @@ class TestInnerUpdate:
         assert len(ARCH_NAMES) >= 10
         for name in ARCH_NAMES:
             get_arch(name)
+
+
+class TestForwardOnce:
+    @pytest.mark.parametrize("name", ARCH_NAMES)
+    def test_each_weight_meets_the_keys_once(self, name):
+        # one inner step builds each product of an initial weight with the
+        # keys once: the pullback reuses the forward's nodes, it does not rerun them
+        arch = get_arch(name)
+        rng = np.random.default_rng(11)
+        t = Tape()
+        ws = [t.leaf(w) for w in arch.init(rng, 3)]
+        k = t.leaf(rng.standard_normal((9, 3)))
+        v = t.leaf(rng.standard_normal((9, 3)))
+        inner_update_nodes(arch, ws, k, v, InnerTrainConfig(loss="mse"), grid=(3, 3))
+
+        def reads_k(node):
+            return node is k or (node.op == "reshape" and node.inputs[0] is k)
+
+        uses = [sum(1 for node in t.nodes
+                    if node.op in ("matmul", "conv3x3", "dwconv3x3")
+                    and node.inputs[1] is w and reads_k(node.inputs[0]))
+                for w in ws]
+        assert uses[0] == 1 and max(uses) == 1
+
+
+def full_grid_update(arch, ws, k, v, cfg, rate, grid):
+    """Reference conv inner loop: every part runs its forward and its kernel
+    gradient on the whole grid, with the part's cotangent padded to all n rows."""
+    conv, wgrad = {"conv3x3": (ad.conv3x3, ad.conv3x3_wgrad),
+                   "dwconv3x3": (ad.dwconv3x3, ad.dwconv3x3_wgrad)}[arch.name]
+    *lead, n, d = k.value.shape
+
+    def to_grid(a):
+        return ad.reshape(a, (*lead, *grid, d))
+
+    for _ in range(cfg.epochs):
+        for lo, hi in partition_batches(n, cfg.parts):
+            vhat = ad.reshape(conv(to_grid(k), ws[0]), k.value.shape)
+            dv = loss_grad(cfg.loss, ad.rows(vhat, lo, hi), ad.rows(v, lo, hi))
+            if rate is not None:
+                r = ad.rows(ad.reshape(rate, (*lead, n, 1)), lo, hi)
+                dv = ad.colscale(dv, ad.reshape(r, (*lead, hi - lo)))
+            g = wgrad(to_grid(k), to_grid(ad.pad_rows(dv, n, lo, hi)))
+            if not lead:
+                g = ad.reshape(g, g.value.shape[1:])
+            if rate is None:
+                g = ad.scale(g, cfg.lr)
+            ws = [ad.sub(ws[0], g)]
+    return ws
+
+
+def _adapt_conv(update, name, grid, parts, b, dynamic, seed=12):
+    """Adapted kernel and float64 outer gradients of one two-epoch conv update."""
+    rng = np.random.default_rng(seed)
+    n, d = grid[0] * grid[1], 3
+    lead = (b,) if b else ()
+    arrays = {"w0": get_arch(name).init(rng, d)[0],
+              "k": rng.standard_normal((*lead, n, d)),
+              "v": rng.standard_normal((*lead, n, d)),
+              "x": rng.standard_normal((*lead, n, 5)),
+              "weta": 0.5 * rng.standard_normal((5, 1))}
+    t = Tape()
+    leaves = {key: t.leaf(a, name=key, param=True) for key, a in arrays.items()}
+    rate = dynamic_rate(leaves["x"], leaves["weta"], 0.8) if dynamic else None
+    cfg = InnerTrainConfig(loss="mse", epochs=2, parts=parts, lr=0.8, dynamic_lr=dynamic)
+    star = update(get_arch(name), [leaves["w0"]], leaves["k"], leaves["v"], cfg, rate, grid)[0]
+    probe = np.cos(np.arange(star.value.size)).reshape(star.value.shape)
+    return star.value, t.backward(ad.sum_all(ad.mul(star, t.leaf(probe))))
+
+
+def assert_halo_matches_full_grid(name, grid, parts, b, dynamic):
+    w_ref, g_ref = _adapt_conv(full_grid_update, name, grid, parts, b, dynamic)
+    w_new, g_new = _adapt_conv(inner_update_nodes, name, grid, parts, b, dynamic)
+    if name == "dwconv3x3":
+        # elementwise taps, each summed over the grid in grid order: exact
+        assert np.array_equal(w_new, w_ref)
+    else:
+        # conv3x3's kernel gradient is one BLAS GEMM reducing over the grid; with
+        # fewer zero rows BLAS may group the same nonzero terms differently
+        assert np.abs(w_new - w_ref).max() <= 1e-12 * max(1.0, np.abs(w_ref).max())
+    for key in g_ref:
+        scale = max(1.0, np.abs(g_ref[key]).max())
+        assert np.abs(g_new[key] - g_ref[key]).max() <= 1e-12 * scale, key
+
+
+class TestConvHalo:
+    @pytest.mark.parametrize("name", ["conv3x3", "dwconv3x3"])
+    @pytest.mark.parametrize("grid,parts", [((5, 7), 3), ((5, 7), 7), ((8, 8), 4),
+                                            ((3, 4), 2), ((5, 7), 35)])
+    @pytest.mark.parametrize("b", [0, 2])
+    def test_matches_full_grid(self, name, grid, parts, b):
+        assert_halo_matches_full_grid(name, grid, parts, b, dynamic=False)
+
+    @pytest.mark.parametrize("name", ["conv3x3", "dwconv3x3"])
+    def test_matches_full_grid_dynamic_rate(self, name):
+        assert_halo_matches_full_grid(name, (5, 7), 3, 2, dynamic=True)
+
+    @given(st.sampled_from(["conv3x3", "dwconv3x3"]), st.integers(1, 6),
+           st.integers(1, 6), st.integers(1, 8), st.integers(0, 2), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_grid_property(self, name, h, w, parts, b, dynamic):
+        if parts > h * w:
+            return
+        assert_halo_matches_full_grid(name, (h, w), parts, b, dynamic)
+
+    def test_context_is_grid_rows_plus_halo(self):
+        arch = get_arch("dwconv3x3")
+        assert arch.context(0, 12, (5, 7)) == (0, 21)       # rows 0-1 + halo row 2
+        assert arch.context(12, 24, (5, 7)) == (0, 35)      # rows 1-3 + halo 0 and 4
+        assert arch.context(24, 35, (5, 7)) == (14, 35)     # rows 3-4 + halo row 2
+        assert get_arch("gated_fc").context(12, 24, (5, 7)) == (12, 24)

@@ -168,6 +168,10 @@ class TestTTTAttention:
         x = RNG.standard_normal((9, 16))
         with pytest.raises(T.GridError):
             ttt_attention(x, p, InnerTrainConfig(loss="dot"), grid=None)
+        for grid in ((2, 4), (4, 3)):
+            for parts in (1, 2, 4):
+                with pytest.raises(T.GridError):
+                    ttt_attention(x, p, InnerTrainConfig(loss="dot", parts=parts), grid=grid)
         out = ttt_attention(x, p, InnerTrainConfig(loss="dot"), grid=(3, 3))
         assert out.shape == (9, 16)
 
@@ -191,6 +195,15 @@ class TestTTTAttention:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError):
             ttt_attention(x, p, cfg)
+        # the error names the head by its parameter prefix, the epoch and the part
+        tape = Tape()
+        leaves = {k: tape.leaf(v, name=k, param=True)
+                  for k, v in p.named_arrays("b2.ttt.").items()}
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError,
+                              match=r"^b2\.ttt\.h0: fc inner weights diverged at "
+                                    r"epoch \d+/150, part 1/1"):
+            ttt_attention_nodes(tape.leaf(x), leaves, p, cfg, prefix="b2.ttt.")
 
     def test_normalize_qk_knob(self):
         p = make_params(16, 2, seed=8)

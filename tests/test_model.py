@@ -6,8 +6,8 @@ import pytest
 from tttlab import autodiff as ad
 from tttlab import tensor as T
 from tttlab.autodiff import Tape, gradcheck
-from tttlab.inner import InnerTrainConfig
-from tttlab.layer import ttt_attention
+from tttlab.inner import ARCH_NAMES, LOSSES, InnerTrainConfig
+from tttlab.layer import TTTLayerParams, ttt_attention
 from tttlab.model import (Model, ModelConfig, OptState, adamw_step,
                           cosine_warmup_lr, flops_estimate, fold_patches,
                           forward_classifier, load_checkpoint, micro_config,
@@ -183,6 +183,27 @@ class TestFlops:
         r1 = flops_estimate(one)["ttt_ratio"]
         r2 = flops_estimate(two)["ttt_ratio"]
         assert r2 == pytest.approx(r1 + 3.0, rel=0.05)
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("parts", [1, 4])
+    @pytest.mark.parametrize("name", ARCH_NAMES)
+    def test_layer_flops_equal_counter(self, name, parts, dynamic):
+        self._assert_layer_flops_exact((name, name), InnerTrainConfig(
+            loss="mse", parts=parts, dynamic_lr=dynamic))
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_layer_flops_equal_counter_per_loss(self, loss):
+        self._assert_layer_flops_exact(("dwconv3x3", "gated_fc"),
+                                       InnerTrainConfig(loss=loss, parts=3))
+
+    @staticmethod
+    def _assert_layer_flops_exact(archs, cfg):
+        params = TTTLayerParams.create(np.random.default_rng(12), 32, 2, archs)
+        x = RNG.standard_normal((64, 32))
+        with T.count_flops() as fc:
+            ttt_attention(x, params, cfg, grid=(8, 8))
+        est = ttt_layer_flops(64, 32, 2, archs, cfg, grid=(8, 8))
+        assert est["total_executed"] == fc.total
 
     def test_estimate_matches_instrumented_counter(self):
         cfg = micro_config()
