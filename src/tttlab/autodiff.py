@@ -6,6 +6,12 @@ fixed order so runs are bit-reproducible. Inner-training weight gradients
 are themselves built on the tape as analytic expressions of these same
 primitives, so a single reverse pass propagates outer-loop gradients through
 unrolled inner updates; there are no nested tapes.
+
+Every node points back to its tape and the tape lists every node, so a graph
+is a reference cycle. Backward spends the graph (`Tape.release`): it cuts each
+node's link to the tape and drops its vjp and inputs, so a finished tape is
+freed by reference counting as soon as its caller lets go of it, not when the
+cyclic GC next runs. Node values, ops and indices stay readable.
 """
 
 from __future__ import annotations
@@ -23,6 +29,28 @@ class ContractError(ValueError):
 
 class OracleError(RuntimeError):
     """gradcheck was handed a non-deterministic function."""
+
+
+class _SpentTape:
+    """Stands in for the tape of a spent node: recording a new op on it raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise ContractError("this node's tape was spent by backward or released; "
+                            "record the computation on a new Tape")
+
+    leaf = push = _refuse
+
+
+_SPENT = _SpentTape()
+
+
+class RowSlice:
+    """Cotangent of rows [lo, hi) of an input; backward scatter-adds it in place."""
+
+    __slots__ = ("g", "lo", "hi")
+
+    def __init__(self, g, lo, hi):
+        self.g, self.lo, self.hi = g, lo, hi
 
 
 class Node:
@@ -66,6 +94,13 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
+        self.spent = False
+
+    def __enter__(self) -> "Tape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
     def leaf(self, value: np.ndarray, name: str | None = None, param: bool = False) -> Node:
         node = Node(self, len(self.nodes), np.asarray(value), (), None, param, "leaf")
@@ -84,31 +119,50 @@ class Tape:
         self.nodes.append(node)
         return node
 
+    def release(self) -> None:
+        """Spend the graph: cut every node's link to this tape, drop its vjp and inputs.
+
+        Nothing then points back at the tape, so it and every buffer only it
+        holds are freed once the caller drops it. `nodes`, `params` and each
+        node's value, op and idx stay readable; a new op on a node, or a
+        backward, raises ContractError.
+        """
+        for node in self.nodes:
+            node.tape = _SPENT
+            node.vjp = None
+            node.inputs = ()
+        self.spent = True
+
     def backward(self, root: Node) -> dict[str, np.ndarray]:
-        """Gradients of a scalar root w.r.t. every parameter leaf (zeros if untouched)."""
+        """Gradients of a scalar root w.r.t. every parameter leaf (zeros if untouched).
+
+        Spends the tape, whether or not a vjp raises.
+        """
+        if self.spent:
+            raise ContractError("tape already spent by backward or released; "
+                                "record the computation on a new Tape")
         if root.tape is not self:
             raise ContractError("root belongs to a different tape")
         if root.value.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
         grads: dict[int, np.ndarray] = {root.idx: np.ones_like(root.value)}
-        for node in reversed(self.nodes[: root.idx + 1]):
-            if node.vjp is None:
-                continue
-            g = grads.pop(node.idx, None)
-            if g is None:
-                continue
-            cots = node.vjp(g)
-            for inp, cot in zip(node.inputs, cots):
-                if cot is None or not inp.requires:
+        owned: set[int] = set()      # indices whose buffer backward allocated itself
+        try:
+            for node in reversed(self.nodes[: root.idx + 1]):
+                if node.vjp is None:
                     continue
-                if inp.idx in grads:
-                    grads[inp.idx] = grads[inp.idx] + cot
-                else:
-                    grads[inp.idx] = cot
-        out = {}
-        for name, leaf in self.params.items():
-            out[name] = grads.get(leaf.idx, np.zeros_like(leaf.value))
-        return out
+                g = grads.pop(node.idx, None)
+                if g is None:
+                    continue
+                for inp, cot in zip(node.inputs, node.vjp(g)):
+                    if cot is not None and inp.requires:
+                        _accumulate(grads, owned, inp, cot)
+            out = {}
+            for name, leaf in self.params.items():
+                out[name] = grads.get(leaf.idx, np.zeros_like(leaf.value))
+            return out
+        finally:
+            self.release()
 
     def max_node_bytes(self) -> int:
         """Largest single buffer recorded on the tape (linear-memory assertions)."""
@@ -117,6 +171,36 @@ class Tape:
 
 def backward(tape: Tape, root: Node) -> dict[str, np.ndarray]:
     return tape.backward(root)
+
+
+def _accumulate(grads: dict, owned: set, inp: Node, cot) -> None:
+    """Add one cotangent into inp's entry, in place only into buffers backward owns.
+
+    A vjp's output may be aliased (add hands the same g to both inputs), so
+    the first one is stored as is and never written to; the second sum
+    allocates a buffer that later cotangents are added into. A RowSlice is
+    scatter-added into one owned zeroed buffer. Sums run in visit order, so
+    results equal the out-of-place `grads[i] + cot` chain.
+    """
+    i = inp.idx
+    prev = grads.get(i)
+    if type(cot) is RowSlice:
+        if i not in owned:
+            buf = np.zeros_like(inp.value)
+            if prev is not None:
+                buf += prev
+            grads[i] = prev = buf
+            owned.add(i)
+        prev[..., cot.lo:cot.hi, :] += cot.g
+    elif prev is None:
+        grads[i] = cot
+    elif i in owned and cot.shape == prev.shape and cot.dtype == prev.dtype:
+        np.add(prev, cot, out=prev)
+    else:
+        acc = prev + cot
+        grads[i] = acc
+        if isinstance(acc, np.ndarray):
+            owned.add(i)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -244,9 +328,7 @@ def rows(a: Node, lo: int, hi: int) -> Node:
     out = np.ascontiguousarray(a.value[..., lo:hi, :])
 
     def vjp(g):
-        z = np.zeros_like(a.value)
-        z[..., lo:hi, :] = g
-        return (z,)
+        return (RowSlice(g, lo, hi),)
 
     return a.tape.push(out, (a,), vjp, "rows")
 
@@ -315,11 +397,12 @@ def matscale(m: Node, s: Node) -> Node:
     mv, sv = m.value, s.value
     if sv.shape != mv.shape[:-2]:
         raise ContractError(f"matscale rate shape {sv.shape} != {mv.shape[:-2]}")
-    out = mv * sv[..., None, None]
+    out = T._check(mv * sv[..., None, None], "matscale")
     T._tick(mv.size)
 
     def vjp(g):
-        return g * sv[..., None, None], (g * mv).sum(axis=(-2, -1))
+        return (T._check(g * sv[..., None, None], "matscale vjp"),
+                T._check((g * mv).sum(axis=(-2, -1)), "matscale vjp"))
 
     return m.tape.push(out, (m, s), vjp, "matscale")
 
@@ -411,19 +494,19 @@ def sqrt_(a: Node) -> Node:
 
 
 def reciprocal(a: Node) -> Node:
-    out = 1.0 / a.value
+    out = T._check(1.0 / a.value, "reciprocal")
 
     def vjp(g):
-        return (-g * out * out,)
+        return (T._check(-g * out * out, "reciprocal vjp"),)
 
     return a.tape.push(out, (a,), vjp, "reciprocal")
 
 
 def clip_min(a: Node, c: float) -> Node:
-    out = np.maximum(a.value, c)
+    out = T._check(np.maximum(a.value, c), "clip_min")
 
     def vjp(g):
-        return (g * (a.value > c),)
+        return (T._check(g * (a.value > c), "clip_min vjp"),)
 
     return a.tape.push(out, (a,), vjp, "clip_min")
 
@@ -432,11 +515,11 @@ def huber(a: Node) -> Node:
     """Smooth-L1 kernel l(x) = x^2/2 inside |x|<1, |x| - 1/2 outside."""
     x = a.value
     inside = np.abs(x) < 1.0
-    out = np.where(inside, 0.5 * x * x, np.abs(x) - 0.5)
+    out = T._check(np.where(inside, 0.5 * x * x, np.abs(x) - 0.5), "huber")
     T._tick(3 * x.size)
 
     def vjp(g):
-        return (g * np.where(inside, x, np.sign(x)),)
+        return (T._check(g * np.where(inside, x, np.sign(x)), "huber vjp"),)
 
     return a.tape.push(out, (a,), vjp, "huber")
 
@@ -445,11 +528,11 @@ def huber_prime(a: Node) -> Node:
     """l'(x): identity inside the quadratic zone, sign outside."""
     x = a.value
     inside = np.abs(x) < 1.0
-    out = np.where(inside, x, np.sign(x))
+    out = T._check(np.where(inside, x, np.sign(x)), "huber_prime")
     T._tick(2 * x.size)
 
     def vjp(g):
-        return (g * inside,)
+        return (T._check(g * inside, "huber_prime vjp"),)
 
     return a.tape.push(out, (a,), vjp, "huber_prime")
 
@@ -459,11 +542,12 @@ def colscale(m: Node, s: Node) -> Node:
     mv, sv = m.value, s.value
     if sv.shape != mv.shape[:-1]:
         raise ContractError(f"colscale rate shape {sv.shape} != row shape {mv.shape[:-1]}")
-    out = mv * sv[..., None]
+    out = T._check(mv * sv[..., None], "colscale")
     T._tick(mv.size)
 
     def vjp(g):
-        return g * sv[..., None], (g * mv).sum(axis=-1)
+        return (T._check(g * sv[..., None], "colscale vjp"),
+                T._check((g * mv).sum(axis=-1), "colscale vjp"))
 
     return m.tape.push(out, (m, s), vjp, "colscale")
 
@@ -509,14 +593,14 @@ def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     logz = np.log(np.exp(shifted).sum(axis=-1))
     n = lv.shape[0]
     nll = logz - shifted[np.arange(n), labels]
-    out = np.asarray(nll.mean())
+    out = T._check(np.asarray(nll.mean()), "cross_entropy")
     T._tick(5 * lv.size)
 
     def vjp(g):
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
-        return (p * (g / n),)
+        return (T._check(p * (g / n), "cross_entropy vjp"),)
 
     return logits.tape.push(out, (logits,), vjp, "cross_entropy")
 
@@ -580,13 +664,18 @@ def gradcheck(f: Callable[[dict], Node], params: dict[str, np.ndarray],
               eps: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
-    `f` rebuilds its computation from a fresh parameter dict and returns the
-    scalar root node; params must be float64 for the stated tolerances to be
-    meaningful. Error metric per entry: |analytic - numeric| / max(1, |numeric|).
+    `f` rebuilds its computation on a fresh tape from a fresh parameter dict
+    and returns the scalar root node; params must be float64 for the stated
+    tolerances to be meaningful. Error metric per entry:
+    |analytic - numeric| / max(1, |numeric|).
     """
+    def value(p):
+        root = f(p)
+        root.tape.release()
+        return root.value
+
     root = f(params)
-    root2 = f(params)
-    if not np.allclose(root.value, root2.value, rtol=0, atol=0):
+    if not np.allclose(root.value, value(params), rtol=0, atol=0):
         raise OracleError("gradcheck function is not deterministic")
     analytic = root.tape.backward(root)
 
@@ -599,9 +688,9 @@ def gradcheck(f: Callable[[dict], Node], params: dict[str, np.ndarray],
             pert = {k: (v if k != name else v.copy()) for k, v in params.items()}
             pflat = pert[name].reshape(-1)
             pflat[i] = orig + eps
-            fp = float(f(pert).value)
+            fp = float(value(pert))
             pflat[i] = orig - eps
-            fm = float(f(pert).value)
+            fm = float(value(pert))
             numeric = (fp - fm) / (2 * eps)
             err = abs(float(an.reshape(-1)[i]) - numeric) / max(1.0, abs(numeric))
             if err > worst:

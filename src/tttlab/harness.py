@@ -164,7 +164,8 @@ class RecallModel:
         return float(loss.value), grads, logits.value
 
     def predict(self, tokens) -> np.ndarray:
-        return self.logits_nodes(Tape(), tokens).value.argmax(axis=-1)
+        with Tape() as tape:
+            return self.logits_nodes(tape, tokens).value.argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +360,8 @@ def ablate_cell(args: tuple) -> dict:
 
 
 def _cell_throughput(rc: RunConfig):
-    """Tokens/s of a fresh model's forward on one batch (None if it diverges)."""
+    """Tokens/s of a fresh model's forward on one batch: one warm-up run, then
+    the median of 3 timed runs (None if it diverges)."""
     if rc.task == "cifar":
         model = Model(rc.model_config(), np.random.default_rng(0))
         batch = np.random.default_rng(rc.seed + 7).random(
@@ -380,10 +382,13 @@ def _cell_throughput(rc: RunConfig):
             model.predict(task.tokens)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            t0 = time.perf_counter()
             run()
-            dt = time.perf_counter() - t0
-        return round(tokens / dt, 1), n_params
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - t0)
+        return round(tokens / float(np.median(times)), 1), n_params
     except DivergenceError:
         return None, n_params
 
@@ -423,9 +428,9 @@ def bench_layer_once(kind: str, n: int, dim: int, heads: int,
     x = rng.standard_normal((n, dim)).astype(np.float32)
     if kind == "ttt":
         def run():
-            tape = Tape()
-            leaves = {k: tape.leaf(v) for k, v in params.named_arrays().items()}
-            out = ttt_attention_nodes(tape.leaf(x), leaves, params, inner, None)
+            with Tape() as tape:
+                leaves = {k: tape.leaf(v) for k, v in params.named_arrays().items()}
+                out = ttt_attention_nodes(tape.leaf(x), leaves, params, inner, None)
             return tape, out
         return run
     if kind == "softmax":

@@ -145,8 +145,8 @@ def ttt_block_nodes(x: Node, leaves: dict[str, Node], layer: TTTLayerParams,
 
 def forward_classifier(model: Model, images: np.ndarray) -> np.ndarray:
     """Logits for a [b, H, W, 3] image batch."""
-    tape = Tape()
-    return model.forward_nodes(tape, images).value
+    with Tape() as tape:
+        return model.forward_nodes(tape, images).value
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +375,29 @@ def flops_estimate(cfg: ModelConfig) -> dict:
 # checkpoints: JSON name->offset index plus tensor container
 
 def save_checkpoint(dirpath: str, params: dict[str, np.ndarray], meta: dict | None = None):
+    """Write both files under temporary names, then move each into place.
+
+    A save that fails partway leaves the previous checkpoint as it was.
+    """
     os.makedirs(dirpath, exist_ok=True)
     index = {}
-    with open(os.path.join(dirpath, "checkpoint.bin"), "wb") as fp:
-        for name in sorted(params):
-            index[name] = T.write_tensor(fp, params[name])
-    doc = {"index": index}
-    if meta:
-        doc["meta"] = meta
-    with open(os.path.join(dirpath, "checkpoint.json"), "w") as fp:
-        json.dump(doc, fp, indent=1, sort_keys=True)
+    paths = [os.path.join(dirpath, name) for name in ("checkpoint.bin", "checkpoint.json")]
+    tmps = [p + ".tmp" for p in paths]
+    try:
+        with open(tmps[0], "wb") as fp:
+            for name in sorted(params):
+                index[name] = T.write_tensor(fp, params[name])
+        doc = {"index": index}
+        if meta:
+            doc["meta"] = meta
+        with open(tmps[1], "w") as fp:
+            json.dump(doc, fp, indent=1, sort_keys=True)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def load_checkpoint(dirpath: str) -> dict[str, np.ndarray]:

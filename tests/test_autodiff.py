@@ -1,11 +1,16 @@
+import gc
+
 import numpy as np
 import pytest
 
 from tttlab import autodiff as ad
 from tttlab import tensor as T
 from tttlab.autodiff import ContractError, OracleError, Tape, gradcheck
-from tttlab.inner import InnerTrainConfig
-from tttlab.layer import TTTLayerParams, ttt_attention_nodes
+from tttlab import data as D
+from tttlab.harness import RecallModel, RunConfig
+from tttlab.inner import InnerModel, InnerTrainConfig, inner_update
+from tttlab.layer import TTTLayerParams, ttt_attention, ttt_attention_nodes
+from tttlab.model import Model, ModelConfig, forward_classifier
 
 RNG = np.random.default_rng(11)
 
@@ -315,3 +320,175 @@ class TestTapeStructure:
         x = t.leaf(np.zeros((64, 4)))
         ad.matmul(ad.transpose(x), x)
         assert t.max_node_bytes() == 64 * 4 * 8
+
+
+# ---------------------------------------------------------------------------
+# backward spends the graph; value-only helpers release their tape
+
+def live_tapes() -> int:
+    return sum(isinstance(o, Tape) for o in gc.get_objects())
+
+
+def _tiny_classifier():
+    model = Model(ModelConfig(image_size=8, patch_size=4, dim=8, heads=2, depth=1),
+                  np.random.default_rng(0))
+    return model, np.random.default_rng(1).random((2, 8, 8, 3)).astype(np.float32)
+
+
+def _model_step():
+    model, images = _tiny_classifier()
+    return lambda: model.loss_and_grads(images, np.array([1, 7]))
+
+
+def _recall_step():
+    rc = RunConfig(dim=8, heads=2, recall_seq=5, recall_width=4, recall_keys=6,
+                   inner_loss="mse", inner_parts=2)
+    task = D.synth_recall_task(0, 4, rc.recall_seq, rc.recall_width, n_keys=rc.recall_keys)
+    model = RecallModel(rc, task.n_classes, np.random.default_rng(2))
+    return lambda: model.loss_and_grads(task.tokens, task.labels)
+
+
+def _forward_classifier():
+    model, images = _tiny_classifier()
+    return lambda: forward_classifier(model, images)
+
+
+def _ttt_attention():
+    rng = np.random.default_rng(3)
+    params = TTTLayerParams.create(rng, 8, 2, ("dwconv3x3", "gated_fc"))
+    x = rng.standard_normal((9, 8))
+    return lambda: ttt_attention(x, params, InnerTrainConfig(loss="mse", parts=2), (3, 3))
+
+
+def _inner_update():
+    rng = np.random.default_rng(4)
+    model = InnerModel.create("gated_fc", 3, rng)
+    k, v = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+    return lambda: inner_update(model, k, v, InnerTrainConfig(loss="mse", parts=2))
+
+
+def _gradcheck():
+    x0 = RNG.standard_normal((2, 3))
+
+    def f(p):
+        t = Tape()
+        x = t.leaf(p["x"], name="x", param=True)
+        return ad.sum_all(ad.mul(ad.rows(x, 0, 1), x))
+    return lambda: gradcheck(f, {"x": x0})
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("make", [_model_step, _recall_step, _forward_classifier,
+                                      _ttt_attention, _inner_update, _gradcheck])
+    def test_no_tape_outlives_its_call(self, make):
+        # with the cyclic GC off, only reference counting can free a tape
+        run = make()
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_tapes()
+            run()
+            assert live_tapes() == before
+        finally:
+            gc.enable()
+
+    def test_second_backward_raises(self):
+        t = Tape()
+        x = t.leaf(np.ones(3), name="x", param=True)
+        root = ad.sum_all(ad.mul(x, x))
+        t.backward(root)
+        with pytest.raises(ContractError, match="spent"):
+            t.backward(root)
+
+    def test_new_op_on_spent_node_raises(self):
+        t = Tape()
+        x = t.leaf(np.ones(3), name="x", param=True)
+        y = ad.mul(x, x)
+        t.backward(ad.sum_all(y))
+        with pytest.raises(ContractError, match="spent"):
+            ad.add(y, x)
+        with pytest.raises(ContractError, match="spent"):
+            ad.add(y, 1.0)
+
+    def test_spent_tape_keeps_values_ops_and_indices(self):
+        t = Tape()
+        x = t.leaf(np.arange(3.0), name="x", param=True)
+        y = ad.scale(x, 2.0)
+        root = ad.sum_all(y)
+        t.backward(root)
+        assert t.spent and [n.op for n in t.nodes] == ["leaf", "scale", "sum_all"]
+        assert [n.idx for n in t.nodes] == [0, 1, 2] and t.params["x"] is x
+        assert np.array_equal(y.value, [0.0, 2.0, 4.0]) and float(root.value) == 6.0
+        assert all(n.vjp is None and n.inputs == () for n in t.nodes)
+
+    def test_failed_backward_spends_the_tape(self):
+        t = Tape()
+        x = t.leaf(np.ones(3), name="x", param=True)
+
+        def vjp(g):
+            raise FloatingPointError("boom")
+        root = ad.sum_all(t.push(x.value, (x,), vjp, "boom"))
+        with pytest.raises(FloatingPointError):
+            t.backward(root)
+        assert t.spent and x.tape is not t
+
+
+def reference_backward(tape, root):
+    """The out-of-place accumulation: every sum allocates, every row slice is
+    materialised as a full-size zero array first."""
+    grads = {root.idx: np.ones_like(root.value)}
+    for node in reversed(tape.nodes[: root.idx + 1]):
+        if node.vjp is None or node.idx not in grads:
+            continue
+        g = grads.pop(node.idx)
+        for inp, cot in zip(node.inputs, node.vjp(g)):
+            if cot is None or not inp.requires:
+                continue
+            if isinstance(cot, ad.RowSlice):
+                z = np.zeros_like(inp.value)
+                z[..., cot.lo:cot.hi, :] = cot.g
+                cot = z
+            grads[inp.idx] = grads[inp.idx] + cot if inp.idx in grads else cot
+    return {name: grads.get(leaf.idx, np.zeros_like(leaf.value))
+            for name, leaf in tape.params.items()}
+
+
+class TestAccumulation:
+    @staticmethod
+    def _graph(x0, w0):
+        # x feeds overlapping row slices, a matmul and itself; u is reached
+        # through add's shared cotangent and then twice more
+        t = Tape()
+        x = t.leaf(x0, name="x", param=True)
+        w = t.leaf(w0, name="w", param=True)
+        u = ad.matmul(x, w)
+        s = ad.add(u, ad.scale(x, 0.5))
+        parts = [ad.rows(x, 0, 3), ad.rows(x, 2, 5), ad.rows(x, 1, 2),
+                 ad.rows(ad.rows(x, 1, 5), 0, 2)]
+        y = ad.add(ad.add(s, u), u)
+        root = ad.sum_all(ad.mul(y, y))
+        for p in parts:
+            root = ad.add(root, ad.sum_all(ad.mul(p, p)))
+        return t, root
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_equals_out_of_place(self, dtype):
+        rng = np.random.default_rng(9)
+        x0 = rng.standard_normal((2, 5, 3)).astype(dtype)
+        w0 = rng.standard_normal((3, 3)).astype(dtype)
+        ref = reference_backward(*self._graph(x0, w0))
+        got = Tape.backward(*self._graph(x0, w0))
+        for name in ref:
+            assert got[name].dtype == ref[name].dtype
+            assert np.array_equal(got[name], ref[name])
+
+    def test_handed_over_cotangents_are_not_written(self):
+        # add's vjp hands one g to both inputs; the sums into a must not
+        # reach b's cotangent through it
+        t = Tape()
+        a = t.leaf(np.ones(3), name="a", param=True)
+        b = t.leaf(np.ones(3), name="b", param=True)
+        y = ad.add(ad.add(ad.add(a, b), a), a)
+        grads = t.backward(ad.sum_all(y))
+        assert np.array_equal(grads["a"], [3.0, 3.0, 3.0])
+        assert np.array_equal(grads["b"], [1.0, 1.0, 1.0])

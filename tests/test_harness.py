@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import tttlab.harness as H
 import tttlab.inner as inner_mod
 from tttlab import autodiff as ad
 from tttlab.harness import (ABLATE_CSV_COLUMNS, BENCH_CSV_COLUMNS,
@@ -125,6 +127,19 @@ class TestCmdAblate:
                                  ("gated_fc",) * rc.heads,
                                  rc.inner_config())["total_executed"]
         assert report["rows"][0]["flops"] == expect
+
+    def test_cell_throughput_is_warm_median(self, monkeypatch):
+        # a fake clock: each forward takes the next duration; the first is the warm-up
+        rc = small_recall_rc("unused", batch_size=4)
+        clock, durations = [0.0], iter([100.0, 1.0, 3.0, 2.0])
+
+        def predict(self, tokens):
+            clock[0] += next(durations)
+        monkeypatch.setattr(RecallModel, "predict", predict)
+        monkeypatch.setattr(H, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        throughput, _ = H._cell_throughput(rc)
+        assert throughput == 4 * rc.recall_seq / 2.0
+        assert next(durations, None) is None
 
 
 class TestCmdBench:

@@ -283,3 +283,53 @@ class TestDebugCoverage:
     def test_dwconv3x3_wgrad(self, per_sample):
         with pytest.raises(T.NonFiniteError, match="^dwconv3x3_wgrad produced"):
             T.dwconv3x3_wgrad(poisoned((2, 3, 3, 2)), np.ones((2, 3, 3, 2)), per_sample)
+
+    def test_reciprocal(self):
+        with pytest.raises(T.NonFiniteError, match="^reciprocal produced"):
+            tape_op(ad.reciprocal, poisoned((4, 6)))
+        _, node = tape_op(ad.reciprocal, np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^reciprocal vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_clip_min(self):
+        with pytest.raises(T.NonFiniteError, match="^clip_min produced"):
+            tape_op(lambda x: ad.clip_min(x, 0.1), poisoned((4, 6)))
+        _, node = tape_op(lambda x: ad.clip_min(x, 0.1), np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^clip_min vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_huber(self):
+        with pytest.raises(T.NonFiniteError, match="^huber produced"):
+            tape_op(ad.huber, poisoned((4, 6)))
+        _, node = tape_op(ad.huber, np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^huber vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_huber_prime(self):
+        with pytest.raises(T.NonFiniteError, match="^huber_prime produced"):
+            tape_op(ad.huber_prime, poisoned((4, 6)))
+        _, node = tape_op(ad.huber_prime, np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^huber_prime vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_cross_entropy(self):
+        labels = np.array([0, 2, 1, 5])
+        with pytest.raises(T.NonFiniteError, match="^cross_entropy produced"):
+            tape_op(lambda x: ad.cross_entropy(x, labels), poisoned((4, 6)))
+        _, node = tape_op(lambda x: ad.cross_entropy(x, labels), np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^cross_entropy vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_colscale(self):
+        with pytest.raises(T.NonFiniteError, match="^colscale produced"):
+            tape_op(ad.colscale, poisoned((2, 4, 3)), np.ones((2, 4)))
+        _, node = tape_op(ad.colscale, np.ones((2, 4, 3)), np.ones((2, 4)))
+        with pytest.raises(T.NonFiniteError, match="^colscale vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_matscale(self):
+        with pytest.raises(T.NonFiniteError, match="^matscale produced"):
+            tape_op(ad.matscale, poisoned((2, 4, 3)), np.ones(2))
+        _, node = tape_op(ad.matscale, np.ones((2, 4, 3)), np.ones(2))
+        with pytest.raises(T.NonFiniteError, match="^matscale vjp produced"):
+            node.vjp(nan_like(node.value))

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -232,6 +233,33 @@ class TestCheckpoint:
         doc = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
         assert all(isinstance(v, int) for v in doc["index"].values())
         assert sorted(doc["index"]) == sorted(model.params)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ck")
+        model = Model(micro_config(depth=1), np.random.default_rng(8))
+        save_checkpoint(path, model.params, meta={"step": 1})
+        before = {name: (tmp_path / "ck" / name).read_bytes()
+                  for name in ("checkpoint.bin", "checkpoint.json")}
+        write_tensor, calls = T.write_tensor, []
+
+        def failing(fp, arr):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return write_tensor(fp, arr)
+        monkeypatch.setattr(T, "write_tensor", failing)
+        newer = {k: v + 1 for k, v in model.params.items()}
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, newer, meta={"step": 2})
+        assert len(calls) == 3
+        assert sorted(os.listdir(path)) == ["checkpoint.bin", "checkpoint.json"]
+        for name, data in before.items():
+            assert (tmp_path / "ck" / name).read_bytes() == data
+        back = load_checkpoint(path)
+        assert set(back) == set(model.params)
+        for k in back:
+            assert back[k].dtype == model.params[k].dtype
+            assert back[k].tobytes() == model.params[k].tobytes()
 
 
 class TestTrainingSmoke:
