@@ -1,5 +1,6 @@
 """tttlab: test-time-training attention layers, oracles, and a desk-scale harness."""
 
+from . import allocator  # first, so the allocator policy is set before tttlab allocates
 from . import autodiff, data, harness, inner, layer, model, tensor
 from .autodiff import Tape, backward, gradcheck
 from .inner import (InnerModel, InnerTrainConfig, inner_forward, inner_loss,

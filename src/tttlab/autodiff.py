@@ -12,6 +12,11 @@ is a reference cycle. Backward spends the graph (`Tape.release`): it cuts each
 node's link to the tape and drops its vjp and inputs, so a finished tape is
 freed by reference counting as soon as its caller lets go of it, not when the
 cyclic GC next runs. Node values, ops and indices stay readable.
+
+A `Tape(record=False)` runs the same ops on the same values but records
+nothing: its nodes keep no inputs and no vjp and are not listed, so each
+intermediate is freed as soon as the next op no longer needs it. Helpers that
+only want a forward value build on it.
 """
 
 from __future__ import annotations
@@ -91,18 +96,17 @@ class Node:
 
 
 class Tape:
-    def __init__(self):
+    """Records ops for one backward pass; `record=False` computes values only."""
+
+    def __init__(self, record: bool = True):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
+        self.record = record
         self.spent = False
 
-    def __enter__(self) -> "Tape":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
     def leaf(self, value: np.ndarray, name: str | None = None, param: bool = False) -> Node:
+        if not self.record:
+            return Node(self, None, np.asarray(value), (), None, False, "leaf")
         node = Node(self, len(self.nodes), np.asarray(value), (), None, param, "leaf")
         self.nodes.append(node)
         if param:
@@ -114,6 +118,8 @@ class Tape:
         return node
 
     def push(self, value, inputs, vjp, op) -> Node:
+        if not self.record:
+            return Node(self, None, value, (), None, False, op)
         requires = any(n.requires for n in inputs)
         node = Node(self, len(self.nodes), value, tuple(inputs), vjp, requires, op)
         self.nodes.append(node)
@@ -138,6 +144,9 @@ class Tape:
 
         Spends the tape, whether or not a vjp raises.
         """
+        if not self.record:
+            raise ContractError("a Tape(record=False) keeps no graph to differentiate; "
+                                "record the computation on a Tape()")
         if self.spent:
             raise ContractError("tape already spent by backward or released; "
                                 "record the computation on a new Tape")
@@ -230,7 +239,8 @@ def add(a: Node, b) -> Node:
     out = T.add(a.value, b.value)
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        return (T._check(_unbroadcast(g, a.value.shape), "add vjp"),
+                T._check(_unbroadcast(g, b.value.shape), "add vjp"))
 
     return a.tape.push(out, (a, b), vjp, "add")
 
@@ -240,7 +250,8 @@ def sub(a: Node, b) -> Node:
     out = T.sub(a.value, b.value)
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
+        return (T._check(_unbroadcast(g, a.value.shape), "sub vjp"),
+                T._check(_unbroadcast(-g, b.value.shape), "sub vjp"))
 
     return a.tape.push(out, (a, b), vjp, "sub")
 
@@ -251,7 +262,8 @@ def mul(a: Node, b) -> Node:
     out = T.mul(av, bv)
 
     def vjp(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return (T._check(_unbroadcast(g * bv, av.shape), "mul vjp"),
+                T._check(_unbroadcast(g * av, bv.shape), "mul vjp"))
 
     return a.tape.push(out, (a, b), vjp, "mul")
 
@@ -260,7 +272,7 @@ def scale(a: Node, c: float) -> Node:
     out = T.scale(a.value, c)
 
     def vjp(g):
-        return (g * c,)
+        return (T._check(g * c, "scale vjp"),)
 
     return a.tape.push(out, (a,), vjp, "scale")
 
@@ -361,7 +373,7 @@ def concat_last(parts: list[Node]) -> Node:
 # reductions
 
 def sum_all(a: Node) -> Node:
-    out = np.asarray(a.value.sum())
+    out = T._check(np.asarray(a.value.sum()), "sum_all")
     T._tick(a.value.size)
 
     def vjp(g):
@@ -372,7 +384,7 @@ def sum_all(a: Node) -> Node:
 
 def sum_last(a: Node) -> Node:
     """Sum over the last axis."""
-    out = a.value.sum(axis=-1)
+    out = T._check(a.value.sum(axis=-1), "sum_last")
     T._tick(a.value.size)
 
     def vjp(g):
@@ -383,7 +395,7 @@ def sum_last(a: Node) -> Node:
 
 def sum_last2(a: Node) -> Node:
     """Sum over the last two axes (per-sequence reduction of [.., B, d])."""
-    out = a.value.sum(axis=(-2, -1))
+    out = T._check(a.value.sum(axis=(-2, -1)), "sum_last2")
     T._tick(a.value.size)
 
     def vjp(g):
@@ -410,7 +422,7 @@ def matscale(m: Node, s: Node) -> Node:
 def mean_tokens(a: Node) -> Node:
     """Mean over the token axis (-2): global average pooling."""
     n = a.value.shape[-2]
-    out = a.value.mean(axis=-2)
+    out = T._check(a.value.mean(axis=-2), "mean_tokens")
     T._tick(a.value.size)
 
     def vjp(g):
@@ -444,12 +456,13 @@ def silu_prime(a: Node) -> Node:
     """SiLU'(x) as a forward value; differentiable once more (SiLU'')."""
     x = a.value
     s = T.sigmoid(x)
-    out = s * (1.0 + x * (1.0 - s))
+    out = T._check(s * (1.0 + x * (1.0 - s)), "silu_prime")
     T._tick(3 * x.size)
 
     def vjp(g):
         # SiLU''(x) = s(1-s) (2 + x(1-2s))
-        return (g * (s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))),)
+        return (T._check(g * (s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))),
+                         "silu_prime vjp"),)
 
     return a.tape.push(out, (a,), vjp, "silu_prime")
 
@@ -479,7 +492,7 @@ def abs_(a: Node) -> Node:
     out = T.abs_(a.value)
 
     def vjp(g):
-        return (g * np.sign(a.value),)
+        return (T._check(g * np.sign(a.value), "abs vjp"),)
 
     return a.tape.push(out, (a,), vjp, "abs")
 
@@ -488,7 +501,7 @@ def sqrt_(a: Node) -> Node:
     out = T.sqrt_(a.value)
 
     def vjp(g):
-        return (g * (0.5 / out),)
+        return (T._check(g * (0.5 / out), "sqrt vjp"),)
 
     return a.tape.push(out, (a,), vjp, "sqrt")
 
@@ -611,8 +624,8 @@ def dwconv3x3(x: Node, k: Node) -> Node:
     out = T.dwconv3x3(xv, kv)
 
     def vjp(g):
-        dx = T.dwconv3x3(g, T.flip_dw(kv))
-        dk = T.dwconv3x3_wgrad(xv, g, per_sample=(kv.ndim == 4))
+        dx = T.dwconv3x3(g, T.flip_dw(kv), check="dwconv3x3 vjp")
+        dk = T.dwconv3x3_wgrad(xv, g, per_sample=(kv.ndim == 4), check="dwconv3x3 vjp")
         return dx, dk
 
     return x.tape.push(out, (x, k), vjp, "dwconv3x3")
@@ -624,8 +637,8 @@ def conv3x3(x: Node, k: Node) -> Node:
     out = T.conv3x3_full(xv, kv)
 
     def vjp(g):
-        dx = T.conv3x3_full(g, T.flip_full(kv))
-        dk = T.conv3x3_full_wgrad(xv, g, per_sample=(kv.ndim == 5))
+        dx = T.conv3x3_full(g, T.flip_full(kv), check="conv3x3 vjp")
+        dk = T.conv3x3_full_wgrad(xv, g, per_sample=(kv.ndim == 5), check="conv3x3 vjp")
         return dx, dk
 
     return x.tape.push(out, (x, k), vjp, "conv3x3")
@@ -637,8 +650,8 @@ def dwconv3x3_wgrad(x: Node, g_in: Node) -> Node:
     out = T.dwconv3x3_wgrad(xv, gv, per_sample=True)
 
     def vjp(ct):
-        dx = T.dwconv3x3(gv, T.flip_dw(ct))
-        dg = T.dwconv3x3(xv, ct)
+        dx = T.dwconv3x3(gv, T.flip_dw(ct), check="dwconv3x3_wgrad vjp")
+        dg = T.dwconv3x3(xv, ct, check="dwconv3x3_wgrad vjp")
         return dx, dg
 
     return x.tape.push(out, (x, g_in), vjp, "dwconv3x3_wgrad")
@@ -650,8 +663,8 @@ def conv3x3_wgrad(x: Node, g_in: Node) -> Node:
     out = T.conv3x3_full_wgrad(xv, gv, per_sample=True)
 
     def vjp(ct):
-        dx = T.conv3x3_full(gv, T.flip_full(ct))
-        dg = T.conv3x3_full(xv, ct)
+        dx = T.conv3x3_full(gv, T.flip_full(ct), check="conv3x3_wgrad vjp")
+        dg = T.conv3x3_full(xv, ct, check="conv3x3_wgrad vjp")
         return dx, dg
 
     return x.tape.push(out, (x, g_in), vjp, "conv3x3_wgrad")

@@ -68,7 +68,7 @@ def _runconfig(args) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(rc, name, value)
-    return rc
+    return rc.validate()
 
 
 def main(argv=None) -> int:

@@ -15,10 +15,11 @@ import time
 import tracemalloc
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import allocator
 from . import autodiff as ad
 from . import data as D
 from . import model as M
@@ -32,6 +33,21 @@ from .model import (Model, ModelConfig, OptState, adamw_step, cosine_warmup_lr,
 TRAIN_CSV_COLUMNS = ("epoch", "train_loss", "val_acc", "wall_s")
 ABLATE_CSV_COLUMNS = ("config", "params", "flops", "throughput", "metric", "status")
 BENCH_CSV_COLUMNS = ("layer", "N", "mean_ms", "p50_ms", "peak_bytes", "flops")
+
+TASKS = ("recall", "cifar")
+# RunConfig fields that count something and must be at least 1
+POSITIVE_FIELDS = ("threads", "epochs", "batch_size", "train_size", "val_size",
+                   "image_size", "patch_size", "dim", "heads", "depth", "num_classes",
+                   "recall_seq", "recall_width", "recall_keys", "inner_epochs",
+                   "inner_parts")
+# JSON value checks by RunConfig field annotation; bool is not accepted as a number
+_TYPE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "list[str]": lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
+}
 
 
 @dataclass
@@ -94,14 +110,37 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown RunConfig fields: {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**doc).validate()
+
+    def validate(self) -> "RunConfig":
+        """Raise ValueError naming the first field no run could use; returns self."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                raise ValueError(f"RunConfig.{f.name} must be {f.type}, got {value!r}")
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        if self.inner_loss not in LOSSES:
+            raise ValueError(f"unknown inner_loss {self.inner_loss!r}; expected one of {LOSSES}")
+        for name in POSITIVE_FIELDS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"RunConfig.{name} must be at least 1, got {getattr(self, name)}")
+        if self.dim % self.heads:
+            raise ValueError(f"dim {self.dim} is not divisible by heads {self.heads}")
+        unknown = [a for a in self.head_archs if a not in ARCH_NAMES]
+        if unknown:
+            raise ValueError(f"unknown head_archs {unknown}; expected names from {ARCH_NAMES}")
+        if self.head_archs and len(self.head_archs) != self.heads:
+            raise ValueError(f"{len(self.head_archs)} head_archs for {self.heads} heads")
+        return self
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def machine_fingerprint() -> dict:
-    """Platform, Python, numpy, CPU count, and the BLAS build with its thread settings."""
+    """Platform, Python, numpy, CPU count, the BLAS build with its thread settings,
+    and the allocator policy (the mallopt values applied, or "default")."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     fp = {
         "platform": platform.platform(),
@@ -112,6 +151,7 @@ def machine_fingerprint() -> dict:
         "blas_version": blas.get("version", "unknown"),
     }
     fp.update({var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS})
+    fp["allocator"] = allocator.POLICY
     return fp
 
 
@@ -164,8 +204,7 @@ class RecallModel:
         return float(loss.value), grads, logits.value
 
     def predict(self, tokens) -> np.ndarray:
-        with Tape() as tape:
-            return self.logits_nodes(tape, tokens).value.argmax(axis=-1)
+        return self.logits_nodes(Tape(record=False), tokens).value.argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +467,10 @@ def bench_layer_once(kind: str, n: int, dim: int, heads: int,
     x = rng.standard_normal((n, dim)).astype(np.float32)
     if kind == "ttt":
         def run():
-            with Tape() as tape:
-                leaves = {k: tape.leaf(v) for k, v in params.named_arrays().items()}
-                out = ttt_attention_nodes(tape.leaf(x), leaves, params, inner, None)
+            tape = Tape()
+            leaves = {k: tape.leaf(v) for k, v in params.named_arrays().items()}
+            out = ttt_attention_nodes(tape.leaf(x), leaves, params, inner, None)
+            tape.release()
             return tape, out
         return run
     if kind == "softmax":

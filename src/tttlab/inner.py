@@ -78,13 +78,13 @@ def loss_grad(kind: str, vhat: Node, v: Node) -> Node:
 def inner_loss(kind: str, vhat: np.ndarray, v: np.ndarray) -> float:
     if vhat.shape != v.shape:
         raise T.DimensionError(f"loss shapes differ: {vhat.shape} vs {v.shape}")
-    with Tape() as t:
-        return float(loss_value(kind, t.leaf(vhat), t.leaf(v)).value)
+    t = Tape(record=False)
+    return float(loss_value(kind, t.leaf(vhat), t.leaf(v)).value)
 
 
 def inner_loss_grad(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    with Tape() as t:
-        return loss_grad(kind, t.leaf(vhat), t.leaf(v)).value
+    t = Tape(record=False)
+    return loss_grad(kind, t.leaf(vhat), t.leaf(v)).value
 
 
 def mixed_second_derivative(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -431,15 +431,15 @@ class InnerModel:
 def inner_forward(model: InnerModel, x: np.ndarray) -> np.ndarray:
     """Apply F_W to [B, d] rows or an [H, W, d] grid."""
     arch = get_arch(model.kind)
-    with Tape() as tape:
-        ws = [tape.leaf(w) for w in model.weights]
-        if x.ndim == 3:
-            grid = x.shape[:2]
-            out = arch.forward(ws, tape.leaf(x.reshape(-1, x.shape[-1])), grid)
-            return out.value.reshape(x.shape)
-        if arch.requires_grid:
-            raise T.GridError(f"{model.kind} needs an [H, W, d] grid input")
-        return arch.forward(ws, tape.leaf(x)).value
+    tape = Tape(record=False)
+    ws = [tape.leaf(w) for w in model.weights]
+    if x.ndim == 3:
+        grid = x.shape[:2]
+        out = arch.forward(ws, tape.leaf(x.reshape(-1, x.shape[-1])), grid)
+        return out.value.reshape(x.shape)
+    if arch.requires_grid:
+        raise T.GridError(f"{model.kind} needs an [H, W, d] grid input")
+    return arch.forward(ws, tape.leaf(x)).value
 
 
 def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
@@ -512,15 +512,15 @@ def inner_update(model: InnerModel, k: np.ndarray, v: np.ndarray,
         raise T.GridError(f"{model.kind} needs an [H, W, d] grid input")
     if k.shape[0] != v.shape[0]:
         raise T.DimensionError(f"K and V row counts differ: {k.shape} vs {v.shape}")
-    with Tape() as tape:
-        ws = [tape.leaf(w) for w in model.weights]
-        rate = None
-        if cfg.dynamic_lr:
-            if x is None or w_eta is None:
-                raise ValueError("dynamic_lr needs x and w_eta")
-            xr = x.reshape(-1, x.shape[-1]) if x.ndim == 3 else x
-            rate = dynamic_rate(tape.leaf(xr), tape.leaf(w_eta), cfg.lr)
-        star = inner_update_nodes(arch, ws, tape.leaf(k), tape.leaf(v), cfg, rate, grid)
+    tape = Tape(record=False)
+    ws = [tape.leaf(w) for w in model.weights]
+    rate = None
+    if cfg.dynamic_lr:
+        if x is None or w_eta is None:
+            raise ValueError("dynamic_lr needs x and w_eta")
+        xr = x.reshape(-1, x.shape[-1]) if x.ndim == 3 else x
+        rate = dynamic_rate(tape.leaf(xr), tape.leaf(w_eta), cfg.lr)
+    star = inner_update_nodes(arch, ws, tape.leaf(k), tape.leaf(v), cfg, rate, grid)
     out = []
     for w0, w in zip(model.weights, star):
         val = w.value

@@ -108,10 +108,9 @@ def ttt_attention_nodes(x: Node, leaves: dict[str, Node], params: TTTLayerParams
 def ttt_attention(x: np.ndarray, params: TTTLayerParams, cfg: InnerTrainConfig,
                   grid=None) -> np.ndarray:
     """TTT layer forward on one [N, C] token sequence (grid = (H, W) for conv heads)."""
-    with Tape() as tape:
-        leaves = {name: tape.leaf(arr, name=name, param=True)
-                  for name, arr in params.named_arrays().items()}
-        return ttt_attention_nodes(tape.leaf(x), leaves, params, cfg, grid).value
+    tape = Tape(record=False)
+    leaves = {name: tape.leaf(arr) for name, arr in params.named_arrays().items()}
+    return ttt_attention_nodes(tape.leaf(x), leaves, params, cfg, grid).value
 
 
 _SOFTMAX_CHUNK = 256

@@ -145,8 +145,7 @@ def ttt_block_nodes(x: Node, leaves: dict[str, Node], layer: TTTLayerParams,
 
 def forward_classifier(model: Model, images: np.ndarray) -> np.ndarray:
     """Logits for a [b, H, W, 3] image batch."""
-    with Tape() as tape:
-        return model.forward_nodes(tape, images).value
+    return model.forward_nodes(Tape(record=False), images).value
 
 
 # ---------------------------------------------------------------------------

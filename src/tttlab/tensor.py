@@ -206,7 +206,7 @@ def sign(x: np.ndarray) -> np.ndarray:
 
 def abs_(x: np.ndarray) -> np.ndarray:
     _tick(x.size)
-    return np.abs(x)
+    return _check(np.abs(x), "abs")
 
 
 def sqrt_(x: np.ndarray) -> np.ndarray:
@@ -244,8 +244,11 @@ def _pad_grid(x: np.ndarray) -> np.ndarray:
     return xp
 
 
-def dwconv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Depthwise 3x3 conv; kernel [3,3,C] shared or [b,3,3,C] per-sample."""
+def dwconv3x3(x: np.ndarray, k: np.ndarray, check: str = "dwconv3x3") -> np.ndarray:
+    """Depthwise 3x3 conv; kernel [3,3,C] shared or [b,3,3,C] per-sample.
+
+    `check` names the op in a debug-mode finiteness failure (a vjp passes its own).
+    """
     xb, squeeze = _as_batched_grid(x, "dwconv3x3")
     b, h, w, c = xb.shape
     if k.shape[-1] != c or k.shape[-3:-1] != (3, 3):
@@ -259,11 +262,12 @@ def dwconv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
             tap = k[:, u, v, None, None, :] if per_sample else k[u, v]
             out += np.multiply(xp[:, u:u + h, v:v + w, :], tap, out=prod)
     _tick(2 * 9 * xb.size)
-    out = _check(out, "dwconv3x3")
+    out = _check(out, check)
     return out[0] if squeeze else out
 
 
-def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) -> np.ndarray:
+def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True,
+                    check: str = "dwconv3x3_wgrad") -> np.ndarray:
     """Kernel gradient of dwconv3x3: correlate upstream grid g with x windows."""
     xb, _ = _as_batched_grid(x, "dwconv3x3_wgrad")
     gb, _ = _as_batched_grid(g, "dwconv3x3_wgrad")
@@ -279,7 +283,7 @@ def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) -> np
         for v in range(3):
             np.einsum(spec, gb, xp[:, u:u + h, v:v + w, :], out=out[..., u, v, :])
     _tick(2 * 9 * xb.size)
-    return _check(out, "dwconv3x3_wgrad")
+    return _check(out, check)
 
 
 def _patches(xb: np.ndarray) -> np.ndarray:
@@ -293,8 +297,11 @@ def _patches(xb: np.ndarray) -> np.ndarray:
     return cols.reshape(b, h * w, 9 * c)
 
 
-def conv3x3_full(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Full 3x3 conv; kernel [3,3,Cin,Cout] shared or [b,3,3,Cin,Cout] per-sample."""
+def conv3x3_full(x: np.ndarray, k: np.ndarray, check: str = "conv3x3_full") -> np.ndarray:
+    """Full 3x3 conv; kernel [3,3,Cin,Cout] shared or [b,3,3,Cin,Cout] per-sample.
+
+    `check` names the op in a debug-mode finiteness failure (a vjp passes its own).
+    """
     xb, squeeze = _as_batched_grid(x, "conv3x3_full")
     b, h, w, c = xb.shape
     if k.shape[-2] != c or k.shape[-4:-2] != (3, 3):
@@ -304,11 +311,12 @@ def conv3x3_full(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     km = k.reshape(*k.shape[:-4], 9 * c, cout)
     out = np.matmul(cols, km).reshape(b, h, w, cout)
     _tick(2 * b * h * w * 9 * c * cout)
-    out = _check(out, "conv3x3_full")
+    out = _check(out, check)
     return out[0] if squeeze else out
 
 
-def conv3x3_full_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) -> np.ndarray:
+def conv3x3_full_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True,
+                       check: str = "conv3x3_full_wgrad") -> np.ndarray:
     """Kernel gradient of conv3x3_full -> [b,3,3,Cin,Cout] (or summed over b)."""
     xb, _ = _as_batched_grid(x, "conv3x3_full_wgrad")
     gb, _ = _as_batched_grid(g, "conv3x3_full_wgrad")
@@ -318,7 +326,7 @@ def conv3x3_full_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) ->
     out = np.matmul(cols.transpose(0, 2, 1), gb.reshape(b, h * w, cout))
     _tick(2 * b * h * w * 9 * c * cout)
     out = out.reshape(b, 3, 3, c, cout)
-    out = _check(out, "conv3x3_full_wgrad")
+    out = _check(out, check)
     if not per_sample:
         out = out.sum(axis=0)
     return out

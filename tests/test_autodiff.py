@@ -1,8 +1,13 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tttlab.harness as harness_mod
+import tttlab.inner as inner_mod
+import tttlab.layer as layer_mod
+import tttlab.model as model_mod
 from tttlab import autodiff as ad
 from tttlab import tensor as T
 from tttlab.autodiff import ContractError, OracleError, Tape, gradcheck
@@ -492,3 +497,97 @@ class TestAccumulation:
         grads = t.backward(ad.sum_all(y))
         assert np.array_equal(grads["a"], [3.0, 3.0, 3.0])
         assert np.array_equal(grads["b"], [1.0, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# non-recording tapes: the same forward values with no graph kept
+
+@pytest.fixture
+def recording(monkeypatch):
+    """Make every value-only helper build on a recording Tape instead."""
+    def use():
+        for mod in (model_mod, layer_mod, harness_mod, inner_mod):
+            monkeypatch.setattr(mod, "Tape", lambda record=True: Tape())
+    return use
+
+
+def _helper_forward_classifier(dtype):
+    model = Model(ModelConfig(), np.random.default_rng(5), dtype=dtype)
+    images = np.random.default_rng(6).standard_normal((4, 32, 32, 3)).astype(dtype)
+    return lambda: [forward_classifier(model, images)]
+
+
+def _helper_ttt_attention(dtype):
+    rng = np.random.default_rng(3)
+    params = TTTLayerParams.create(rng, 8, 2, ("dwconv3x3", "gated_fc"), dtype=dtype)
+    x = rng.standard_normal((16, 8)).astype(dtype)
+    return lambda: [ttt_attention(x, params, InnerTrainConfig(loss="mse", parts=4), (4, 4))]
+
+
+def _helper_recall_predict(dtype):
+    rc = RunConfig(dim=8, heads=2, recall_seq=5, recall_width=4, recall_keys=6,
+                   inner_loss="mse", inner_parts=2)
+    task = D.synth_recall_task(0, 6, rc.recall_seq, rc.recall_width, n_keys=rc.recall_keys)
+    model = RecallModel(rc, task.n_classes, np.random.default_rng(2), dtype=dtype)
+    tokens = task.tokens.astype(dtype)
+    # predict returns the argmax; the logits under it are compared as well
+    return lambda: [model.predict(tokens),
+                    model.logits_nodes(harness_mod.Tape(record=False), tokens).value]
+
+
+def _helper_inner_update_dynamic(dtype):
+    rng = np.random.default_rng(4)
+    model = InnerModel.create("gated_fc", 3, rng, dtype=dtype)
+    k, v, x = (rng.standard_normal(s).astype(dtype) for s in ((6, 3), (6, 3), (6, 4)))
+    w_eta = rng.standard_normal((4, 1)).astype(dtype)
+    cfg = InnerTrainConfig(loss="mse", parts=2, dynamic_lr=True)
+    return lambda: inner_update(model, k, v, cfg, x=x, w_eta=w_eta).weights
+
+
+VALUE_HELPERS = {"forward_classifier": _helper_forward_classifier,
+                 "ttt_attention": _helper_ttt_attention,
+                 "recall_predict": _helper_recall_predict,
+                 "inner_update_dynamic": _helper_inner_update_dynamic}
+
+
+class TestNonRecordingTape:
+    def test_records_nothing(self):
+        t = Tape(record=False)
+        x = t.leaf(np.arange(6.0).reshape(2, 3), name="x", param=True)
+        y = ad.sum_all(ad.mul(ad.matmul(x, ad.transpose(x)), 2.0))
+        assert t.nodes == [] and t.params == {}
+        assert float(y.value) == 166.0
+        assert y.inputs == () and y.vjp is None and not y.requires
+
+    def test_backward_raises(self):
+        t = Tape(record=False)
+        x = t.leaf(np.ones(3), name="x", param=True)
+        with pytest.raises(ContractError, match="record"):
+            t.backward(ad.sum_all(ad.mul(x, x)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(VALUE_HELPERS))
+    def test_bit_identical_to_recording_tape(self, name, dtype, recording):
+        got = VALUE_HELPERS[name](dtype)()
+        recording()
+        ref = VALUE_HELPERS[name](dtype)()
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_forward_peak_memory(self, recording):
+        # b=64 micro classifier: a recording tape holds every intermediate
+        model = Model(ModelConfig(), np.random.default_rng(0))
+        images = np.random.default_rng(1).standard_normal((64, 32, 32, 3)).astype(np.float32)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                forward_classifier(model, images)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        lean = peak()
+        recording()
+        full = peak()
+        assert lean <= full / 4, (lean, full)

@@ -8,6 +8,7 @@ import pytest
 
 import tttlab.harness as H
 import tttlab.inner as inner_mod
+from tttlab import allocator
 from tttlab import autodiff as ad
 from tttlab.harness import (ABLATE_CSV_COLUMNS, BENCH_CSV_COLUMNS,
                             TRAIN_CSV_COLUMNS, RecallModel, RunConfig,
@@ -32,7 +33,7 @@ def read_csv(path):
 
 class TestRunConfig:
     def test_json_round_trip(self):
-        rc = RunConfig(seed=3, inner_loss="rmse", head_archs=["fc", "fc"])
+        rc = RunConfig(seed=3, heads=2, inner_loss="rmse", head_archs=["fc", "fc"])
         back = RunConfig.from_json(rc.to_json())
         assert back == rc
 
@@ -48,6 +49,43 @@ class TestRunConfig:
                 "OMP_NUM_THREADS"} <= set(fp)
         assert isinstance(fp["blas"], str) and fp["blas"]
         assert fp["OPENBLAS_NUM_THREADS"] == "3" and fp["MKL_NUM_THREADS"] == "unset"
+        assert fp["allocator"] == allocator.POLICY
+        if allocator.POLICY != "default":
+            assert fp["allocator"] == {"M_MMAP_THRESHOLD": 32 << 20,
+                                       "M_TRIM_THRESHOLD": 1 << 30}
+        json.dumps(fp)
+
+    @pytest.mark.parametrize("doc", [{"epochs": "10"}, {"lr": "0.1"}, {"augment": 1},
+                                     {"dim": 64.0}, {"heads": True}, {"head_archs": "fc"},
+                                     {"head_archs": [1, 2]}, {"task": None}])
+    def test_wrong_type_rejected(self, doc):
+        with pytest.raises(ValueError, match="must be"):
+            RunConfig.from_json(json.dumps(doc))
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(ValueError, match="unknown task"):
+            RunConfig.from_json('{"task": "imagenet"}')
+
+    def test_unknown_inner_loss_rejected(self):
+        with pytest.raises(ValueError, match="unknown inner_loss"):
+            RunConfig.from_json('{"inner_loss": "l2"}')
+
+    def test_unknown_head_arch_rejected(self):
+        with pytest.raises(ValueError, match="unknown head_archs"):
+            RunConfig.from_json('{"heads": 2, "head_archs": ["fc", "transformer"]}')
+
+    def test_head_arch_count_rejected(self):
+        with pytest.raises(ValueError, match="3 head_archs for 4 heads"):
+            RunConfig.from_json('{"heads": 4, "head_archs": ["fc", "fc", "fc"]}')
+
+    def test_indivisible_dim_rejected(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            RunConfig.from_json('{"dim": 30, "heads": 4}')
+
+    @pytest.mark.parametrize("name", H.POSITIVE_FIELDS)
+    def test_count_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            RunConfig.from_json(json.dumps({name: 0}))
 
 
 class TestCmdTrain:

@@ -333,3 +333,69 @@ class TestDebugCoverage:
         _, node = tape_op(ad.matscale, np.ones((2, 4, 3)), np.ones(2))
         with pytest.raises(T.NonFiniteError, match="^matscale vjp produced"):
             node.vjp(nan_like(node.value))
+
+    def test_add(self):
+        _, node = tape_op(ad.add, np.ones((2, 4, 3)), np.ones(3))
+        with pytest.raises(T.NonFiniteError, match="^add vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_sub(self):
+        _, node = tape_op(ad.sub, np.ones((2, 4, 3)), np.ones(3))
+        with pytest.raises(T.NonFiniteError, match="^sub vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_mul(self):
+        _, node = tape_op(ad.mul, np.ones((2, 4, 3)), np.ones(3))
+        with pytest.raises(T.NonFiniteError, match="^mul vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_scale(self):
+        _, node = tape_op(lambda x: ad.scale(x, 0.5), np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^scale vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_silu_prime(self):
+        # at +inf the sigmoid is a finite 1 but x (1 - s) is inf * 0
+        x = np.ones((4, 6))
+        x[1, 2] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(T.NonFiniteError, match="^silu_prime produced"):
+            tape_op(ad.silu_prime, x)
+        _, node = tape_op(ad.silu_prime, np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^silu_prime vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_sqrt(self):
+        _, node = tape_op(ad.sqrt_, np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^sqrt vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_abs(self):
+        with pytest.raises(T.NonFiniteError, match="^abs produced"):
+            tape_op(ad.abs_, poisoned((4, 6)))
+        _, node = tape_op(ad.abs_, np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^abs vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    @pytest.mark.parametrize("op", ["sum_all", "sum_last", "sum_last2", "mean_tokens"])
+    def test_reduction(self, op):
+        with pytest.raises(T.NonFiniteError, match=f"^{op} produced"):
+            tape_op(getattr(ad, op), poisoned((2, 4, 3)))
+
+    @pytest.mark.parametrize("kshape", [(3, 3, 2), (2, 3, 3, 2)])
+    def test_dwconv3x3(self, kshape):
+        _, node = tape_op(ad.dwconv3x3, np.ones((2, 3, 3, 2)), np.ones(kshape))
+        with pytest.raises(T.NonFiniteError, match="^dwconv3x3 vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    @pytest.mark.parametrize("kshape", [(3, 3, 2, 4), (2, 3, 3, 2, 4)])
+    def test_conv3x3(self, kshape):
+        _, node = tape_op(ad.conv3x3, np.ones((2, 3, 3, 2)), np.ones(kshape))
+        with pytest.raises(T.NonFiniteError, match="^conv3x3 vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    @pytest.mark.parametrize("op", ["dwconv3x3_wgrad", "conv3x3_wgrad"])
+    def test_wgrad_ops(self, op):
+        _, node = tape_op(getattr(ad, op), np.ones((2, 3, 3, 2)), np.ones((2, 3, 3, 2)))
+        with pytest.raises(T.NonFiniteError, match=f"^{op} vjp produced"):
+            node.vjp(nan_like(node.value))
