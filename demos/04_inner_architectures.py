@@ -9,10 +9,11 @@ the forward-equivalent cost of one inner training epoch.
 import numpy as np
 
 from tttlab import autodiff as ad
+from tttlab import tensor as T
 from tttlab.autodiff import Tape, gradcheck
 from tttlab.inner import ARCH_NAMES, InnerTrainConfig, get_arch
 from tttlab.layer import TTTLayerParams, ttt_attention_nodes
-from tttlab.model import arch_forward_flops, inner_head_flops, weight_count
+from tttlab.model import ttt_layer_flops
 
 rng = np.random.default_rng(0)
 dim, n, grid = 6, 9, (3, 3)
@@ -32,10 +33,12 @@ for name in ARCH_NAMES:
         return ad.sum_all(ad.mul(out, out))
 
     err = gradcheck(f, {k: np.asarray(w) for k, w in params.named_arrays().items()})
-    fwd = arch_forward_flops(name, n, dim)
-    cost = inner_head_flops(name, "mse", n, dim, 1, 1, False, grid)
-    print(f"{name:>14s} {weight_count(name, dim):>8d} {fwd:>10d} "
-          f"{cost['convention'] / fwd:>10.2f}x {err:>10.2e}")
+    weights = sum(int(np.prod(s)) for s in arch.weight_shapes(dim))
+    tape = Tape(record=False)
+    with T.count_flops() as fwd:
+        arch.forward([tape.leaf(w) for w in params.inner[0].weights], tape.leaf(x), grid)
+    cost = ttt_layer_flops(n, dim, 1, (name,), cfg, grid)["ratio"]
+    print(f"{name:>14s} {weights:>8d} {fwd.total:>10d} {cost:>10.2f}x {err:>10.2e}")
 
 print("\n('epoch cost' = one inner epoch plus the query pass, in units of one")
 print(" forward pass of the same module; backward counted as 2x forward)")

@@ -28,7 +28,8 @@ from .inner import (ARCH_NAMES, LOSSES, DivergenceError, InnerTrainConfig,
                     get_arch, inner_loss_grad, mixed_second_derivative)
 from .layer import TTTLayerParams, softmax_attention, ttt_attention_nodes
 from .model import (Model, ModelConfig, OptState, adamw_step, cosine_warmup_lr,
-                    save_checkpoint, softmax_layer_flops, ttt_layer_flops)
+                    save_checkpoint, ttt_layer_flops)
+from .tensor import count_flops
 
 TRAIN_CSV_COLUMNS = ("epoch", "train_loss", "val_acc", "wall_s")
 ABLATE_CSV_COLUMNS = ("config", "params", "flops", "throughput", "metric", "status")
@@ -497,18 +498,14 @@ def cmd_bench(rc: RunConfig, lengths=(256, 512, 1024, 2048, 4096, 8192),
                 run()
                 times.append((time.perf_counter() - t0) * 1e3)
             tracemalloc.start()
-            run()
+            with count_flops() as fl:
+                run()
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            if kind == "ttt":
-                fl = ttt_layer_flops(n, rc.dim, rc.heads,
-                                     ("gated_fc",) * rc.heads, inner)["total_executed"]
-            else:
-                fl = softmax_layer_flops(n, rc.dim, rc.heads)["total_executed"]
             rows.append({"layer": kind, "N": n,
                          "mean_ms": round(float(np.mean(times)), 3),
                          "p50_ms": round(float(np.median(times)), 3),
-                         "peak_bytes": peak, "flops": fl})
+                         "peak_bytes": peak, "flops": fl.total})
     csv_path = os.path.join(rc.out_dir, "bench.csv")
     with open(csv_path, "w", newline="") as fp:
         writer = csv.DictWriter(fp, fieldnames=BENCH_CSV_COLUMNS)

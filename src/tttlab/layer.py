@@ -134,9 +134,10 @@ def softmax_attention(x: np.ndarray, params: TTTLayerParams) -> np.ndarray:
     """Multi-head softmax attention baseline (no 1/sqrt(d); absorbed into Q, K)."""
     outs = []
     for h in range(params.heads):
-        q, k, v = x @ params.wq[h], x @ params.wk[h], x @ params.wv[h]
+        q, k, v = (T.matmul(x, params.wq[h]), T.matmul(x, params.wk[h]),
+                   T.matmul(x, params.wv[h]))
         outs.append(_softmax_head(q, T.transpose(k), v))
-    return np.concatenate(outs, axis=-1) @ params.w_o
+    return T.matmul(np.concatenate(outs, axis=-1), params.w_o)
 
 
 def attention_mlp_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:

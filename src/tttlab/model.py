@@ -8,6 +8,7 @@ Forward/backward run batched on [b, N, C] rows over one tape.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -18,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor as T
 from .autodiff import Node, Tape
-from .inner import InnerTrainConfig, get_arch, partition_batches
-from .layer import TTTLayerParams, ttt_attention_nodes
+from .inner import InnerArch, InnerTrainConfig, get_arch, inner_update_nodes
+from .layer import TTTLayerParams, ttt_attention, ttt_attention_nodes
 
 
 def default_head_archs(heads: int) -> tuple[str, ...]:
@@ -229,145 +230,69 @@ def cosine_warmup_lr(step: int, total_steps: int, warmup_steps: int, base_lr: fl
 
 
 # ---------------------------------------------------------------------------
-# FLOPs accounting (multiply-add = 2 FLOPs, matching the runtime counter)
+# FLOPs, counted by running the code (multiply-add = 2 FLOPs)
 
-def arch_forward_flops(name: str, n: int, d: int) -> int:
-    if name == "fc":
-        return 2 * n * d * d
-    if name == "silu_fc":
-        return 2 * n * d * d + 4 * n * d
-    if name == "swiglu":
-        return 6 * n * d * d + 5 * n * d
-    if name in ("gated_fc", "mlp_residual", "mlp_w2_plus_i"):
-        return 4 * n * d * d + 5 * n * d
-    if name == "mlp_w2_init_i":
-        return 4 * n * d * d + 4 * n * d
-    if name == "conv3x3":
-        return 18 * n * d * d
-    if name == "dwconv3x3":
-        return 18 * n * d
-    arch = get_arch(name)                               # mlp_r{r}_l{l}
-    h = arch.ratio * d
-    if arch.layers == 2:
-        return 4 * n * d * h + 4 * n * h
-    return 2 * n * d * h + 2 * n * h * h + 2 * n * h * d + 8 * n * h
+def _pullbacks_apart(arch: InnerArch) -> InnerArch:
+    """A copy of `arch` whose pullbacks tick a counter of their own.
 
-
-def arch_wgrad_flops(name: str, n: int, d: int) -> int:
-    """Cost of the pullback's weight-gradient expressions as actually executed."""
-    if name == "fc":
-        return 2 * n * d * d
-    if name == "silu_fc":
-        return 2 * n * d * d + 7 * n * d
-    if name == "swiglu":
-        return 8 * n * d * d + 9 * n * d
-    if name == "gated_fc":
-        return 4 * n * d * d + 9 * n * d
-    if name in ("mlp_residual", "mlp_w2_init_i"):
-        return 6 * n * d * d + 7 * n * d
-    if name == "mlp_w2_plus_i":
-        return 6 * n * d * d + 8 * n * d
-    if name == "conv3x3":
-        return 18 * n * d * d
-    if name == "dwconv3x3":
-        return 18 * n * d
-    arch = get_arch(name)                               # mlp_r{r}_l{l}
-    h = arch.ratio * d
-    if arch.layers == 2:
-        return 6 * n * d * h + 7 * n * h
-    return 6 * n * d * h + 4 * n * h * h + 14 * n * h
-
-
-def loss_grad_flops(kind: str, n: int, d: int) -> int:
-    """Cost of one mini-batch's loss gradient on n rows (rmse adds its scalar norm)."""
-    per_entry = {"dot": 1, "mse": 2, "rmse": 5, "mae": 3, "smooth_l1": 4}[kind]
-    return per_entry * n * d + (2 if kind == "rmse" else 0)
-
-
-def weight_count(name: str, d: int) -> int:
-    return sum(int(np.prod(s)) for s in get_arch(name).weight_shapes(d))
-
-
-def inner_head_flops(name: str, kind: str, n: int, d: int, epochs: int, parts: int,
-                     dynamic_lr: bool, grid=None) -> dict:
-    """Executed cost and the forward-equivalent convention cost of one inner head.
-
-    Each mini-batch runs its forward and pullback on the rows `arch.context`
-    names: the batch itself, or for conv heads (which need the (H, W) grid)
-    its grid rows plus a one-row halo.
+    Counters nest independently, so an enclosing count skips the pullbacks.
     """
-    arch = get_arch(name)
-    ranges = partition_batches(n, parts)
-    ctx = sum(chi - clo for clo, chi in (arch.context(lo, hi, grid) for lo, hi in ranges))
-    fwd, ctx_fwd = arch_forward_flops(name, n, d), arch_forward_flops(name, ctx, d)
-    lg = sum(loss_grad_flops(kind, hi - lo, d) for lo, hi in ranges)
-    if dynamic_lr:
-        lg += n * d                                    # colscale by the token rates
-    step = (1 if dynamic_lr else 2) * weight_count(name, d) * parts   # [scale+]sub per update
-    executed = epochs * (ctx_fwd + arch_wgrad_flops(name, ctx, d) + lg + step) + fwd
-    convention = epochs * (ctx_fwd + 2 * fwd + lg + step) + fwd
-    return {"executed": executed, "convention": convention, "module_forward": fwd}
+    counted = copy.copy(arch)
+
+    def forward_pullback(ws, x, grid=None):
+        out, pullback = arch.forward_pullback(ws, x, grid)
+
+        def apart(dv):
+            with T.count_flops():
+                return pullback(dv)
+
+        return out, apart
+
+    counted.forward_pullback = forward_pullback
+    return counted
 
 
 def ttt_layer_flops(n: int, dim: int, heads: int, head_archs, inner: InnerTrainConfig,
                     grid=None) -> dict:
-    d = dim // heads
-    proj = 3 * heads * 2 * n * dim * d
-    if inner.dynamic_lr:
-        proj += heads * (2 * n * dim + 4 * n)          # rate projection + sigmoid
-    wo = 2 * n * dim * dim
-    inner_exec = inner_conv = mod_fwd = 0
-    for name in head_archs:
-        f = inner_head_flops(name, inner.loss, n, d, inner.epochs, inner.parts,
-                             inner.dynamic_lr, grid)
-        inner_exec += f["executed"]
-        inner_conv += f["convention"]
-        mod_fwd += f["module_forward"]
-    return {
-        "outer": proj + wo,
-        "inner_executed": inner_exec,
-        "inner_convention": inner_conv,
-        "module_forward": mod_fwd,
-        "ratio": inner_conv / mod_fwd,
-        "total_executed": proj + wo + inner_exec,
-    }
+    """Counted FLOPs of one TTT layer forward on n tokens, and its inner-cost ratio.
 
-
-def softmax_layer_flops(n: int, dim: int, heads: int) -> dict:
-    d = dim // heads
-    proj = 3 * heads * 2 * n * dim * d
-    attn = heads * (2 * n * n * d + 4 * n * n + 2 * n * n * d)
-    wo = 2 * n * dim * dim
-    return {"outer": proj + wo + attn, "total_executed": proj + wo + attn}
+    `total_executed` is what one `ttt_attention` runs. `ratio` is the
+    forward-equivalent inner cost over one forward of the heads' modules: the
+    inner loop and the query pass as executed, with each weight-gradient
+    pullback counted as two module forwards (backward = 2x forward). Counts
+    depend on shapes only; zero inputs keep the inner loop finite at any lr.
+    """
+    params = TTTLayerParams.create(np.random.default_rng(0), dim, heads, head_archs)
+    with T.count_flops() as total:
+        ttt_attention(np.zeros((n, dim)), params, inner, grid)
+    tape = Tape(record=False)
+    kv = tape.leaf(np.zeros((n, params.head_dim)))
+    rate = tape.leaf(np.zeros(n)) if inner.dynamic_lr else None
+    convention = module = 0
+    for name, model in zip(params.head_archs, params.inner):
+        arch = get_arch(name)
+        ws = [tape.leaf(w) for w in model.weights]
+        with T.count_flops() as fwd:
+            arch.forward(ws, kv, grid)
+        with T.count_flops() as loop:
+            inner_update_nodes(_pullbacks_apart(arch), ws, kv, kv, inner, rate, grid)
+        convention += loop.total + (2 * inner.epochs + 1) * fwd.total
+        module += fwd.total
+    return {"total_executed": total.total, "ratio": convention / module}
 
 
 def flops_estimate(cfg: ModelConfig) -> dict:
-    """Analytic multiply-add counts for one forward pass of one image.
+    """Counted FLOPs of one image's forward pass, and the TTT layers' inner-cost ratio.
 
-    `ttt_ratio` is the forward-equivalent inner/outer FLOPs ratio per TTT
-    layer (backward counted as 2x forward); `total_executed` counts the ops the
-    implementation actually runs and is what the runtime counter should match.
+    `total_executed` is what `forward_classifier` runs on one image; `ttt_ratio`
+    is `ttt_layer_flops(...)["ratio"]` at the model's shapes.
     """
-    n, c = cfg.tokens, cfg.dim
-    patch = 2 * n * (cfg.patch_size ** 2 * 3) * c + n * c
-    layer = ttt_layer_flops(n, c, cfg.heads, cfg.head_archs, cfg.inner, cfg.grid)
-    hid = int(cfg.mlp_ratio * c)
-    mlp = 2 * n * c * hid + 4 * n * hid + 2 * n * hid * c + n * hid + n * c
-    cpe = 18 * n * c
-    ln = 8 * n * c
-    residuals = 3 * n * c
-    block = cpe + 2 * ln + layer["total_executed"] + mlp + residuals
-    head = n * c + 2 * c * cfg.num_classes + cfg.num_classes
-    total = patch + cfg.depth * block + head
-    outer_only = total - cfg.depth * layer["inner_executed"]
-    return {
-        "total_executed": total,
-        "outer_forward": outer_only,
-        "inner_per_layer": layer["inner_executed"],
-        "inner_convention_per_layer": layer["inner_convention"],
-        "ttt_module_forward": layer["module_forward"],
-        "ttt_ratio": layer["ratio"],
-    }
+    model = Model(cfg, np.random.default_rng(0))
+    with T.count_flops() as total:
+        forward_classifier(model, np.zeros((1, cfg.image_size, cfg.image_size, 3)))
+    layer = ttt_layer_flops(cfg.tokens, cfg.dim, cfg.heads, cfg.head_archs, cfg.inner,
+                            cfg.grid)
+    return {"total_executed": total.total, "ttt_ratio": layer["ratio"]}
 
 
 # ---------------------------------------------------------------------------

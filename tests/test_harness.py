@@ -188,10 +188,13 @@ class TestCmdBench:
         assert rows[0] == list(BENCH_CSV_COLUMNS)
         assert len(rows) == 1 + 4  # two layers x two lengths
         for row in report["rows"]:
+            n = row["N"]
             if row["layer"] == "ttt":
-                expect = ttt_layer_flops(row["N"], 32, 2, ("gated_fc",) * 2,
+                expect = ttt_layer_flops(n, 32, 2, ("gated_fc",) * 2,
                                          rc.inner_config())["total_executed"]
-                assert row["flops"] == expect
+            else:   # projections and output, then per head Q K^T, softmax, P V
+                expect = 8 * n * 32 * 32 + 2 * (4 * n * n * 16 + 4 * n * n)
+            assert row["flops"] == expect
             assert row["p50_ms"] > 0 and row["peak_bytes"] > 0
 
     def test_loglog_slope_helper(self):
