@@ -168,7 +168,8 @@ class Tape:
                         _accumulate(grads, owned, inp, cot)
             out = {}
             for name, leaf in self.params.items():
-                out[name] = grads.get(leaf.idx, np.zeros_like(leaf.value))
+                g = grads.get(leaf.idx)
+                out[name] = np.zeros_like(leaf.value) if g is None else g
             return out
         finally:
             self.release()

@@ -185,36 +185,54 @@ def patch_embed(image: np.ndarray, p: int, w: np.ndarray, b: np.ndarray) -> np.n
 
 @dataclass
 class OptState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """AdamW moments of every parameter, each packed into one flat buffer in params order."""
+    m: np.ndarray
+    v: np.ndarray
+    names: tuple[str, ...]
     step: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]):
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+        dtypes = sorted({str(p.dtype) for p in params.values()})
+        if len(dtypes) != 1:
+            raise TypeError(f"AdamW needs parameters of one dtype, got {dtypes}")
+        size = sum(p.size for p in params.values())
+        return cls(m=np.zeros(size, dtypes[0]), v=np.zeros(size, dtypes[0]),
+                   names=tuple(params))
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: OptState, lr: float, betas=(0.9, 0.999), eps=1e-8,
                weight_decay: float = 0.0):
-    """Decoupled-weight-decay Adam update, in place; returns (params, state)."""
+    """Decoupled-weight-decay Adam update, in place; returns (params, state).
+
+    Each pass runs once over all parameters packed flat, and each parameter is
+    written back in place, so the arrays the tapes and layer params share stay
+    the same objects.
+    """
+    if tuple(params) != state.names:
+        raise ad.ContractError("params do not match the names their OptState was built for")
     state.step += 1
     t = state.step
     b1, b2 = betas
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads[name].astype(p.dtype, copy=False)
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
-        if weight_decay:
-            update = update + weight_decay * p
-        p -= lr * update
+    m, v = state.m, state.v
+    g = np.concatenate([grads[name].ravel() for name in params], dtype=m.dtype,
+                       casting="same_kind")
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    update = (m / c1) / (np.sqrt(v / c2) + eps)
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    if weight_decay:
+        update += weight_decay * flat
+    flat -= lr * update
+    lo = 0
+    for p in params.values():
+        p[...] = flat[lo:lo + p.size].reshape(p.shape)
+        lo += p.size
     return params, state
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 class DimensionError(ValueError):
@@ -244,25 +245,42 @@ def _pad_grid(x: np.ndarray) -> np.ndarray:
     return xp
 
 
+def _tap_rows(xb: np.ndarray) -> np.ndarray:
+    """Read-only [b, H, 3, 3, W*C] view of the padded grid: [:, i, u, v] is padded
+    row i + u shifted v columns, so each tap's row is one contiguous W*C run."""
+    b, h, w, c = xb.shape
+    xp = _pad_grid(xb)
+    sb, sh, sw, sc = xp.strides
+    return as_strided(xp, (b, h, 3, 3, w * c), (sb, sh, sh, sw, sc), writeable=False)
+
+
 def dwconv3x3(x: np.ndarray, k: np.ndarray, check: str = "dwconv3x3") -> np.ndarray:
     """Depthwise 3x3 conv; kernel [3,3,C] shared or [b,3,3,C] per-sample.
 
+    One contraction of the tap rows against the kernel tiled along W, which sums
+    the nine taps in the same order as the shifted multiply-add loop.
     `check` names the op in a debug-mode finiteness failure (a vjp passes its own).
     """
     xb, squeeze = _as_batched_grid(x, "dwconv3x3")
     b, h, w, c = xb.shape
     if k.shape[-1] != c or k.shape[-3:-1] != (3, 3):
         raise DimensionError(f"dwconv3x3 kernel {k.shape} does not match C={c}")
-    xp = _pad_grid(xb)
-    out = np.zeros_like(xb)
-    prod = np.empty_like(xb)
-    per_sample = k.ndim == 4
-    for u in range(3):
-        for v in range(3):
-            tap = k[:, u, v, None, None, :] if per_sample else k[u, v]
-            out += np.multiply(xp[:, u:u + h, v:v + w, :], tap, out=prod)
+    rows = _tap_rows(xb)
+    if c == 1:
+        # At C = 1 the column shift and the channel step share one stride, and
+        # einsum then unrolls the tap reduction in another order; the tap loop
+        # keeps the order bit for bit and is as fast at this width.
+        out = np.zeros((b, h, w), dtype=xb.dtype)
+        prod = np.empty_like(out)
+        for u in range(3):
+            for v in range(3):
+                tap = k[:, None, u, v] if k.ndim == 4 else k[u, v]
+                out += np.multiply(rows[:, :, u, v], tap, out=prod)
+    else:
+        spec = "bhuvj,buvj->bhj" if k.ndim == 4 else "bhuvj,uvj->bhj"
+        out = np.einsum(spec, rows, np.tile(k, w), dtype=xb.dtype, casting="same_kind")
     _tick(2 * 9 * xb.size)
-    out = _check(out, check)
+    out = _check(out.reshape(b, h, w, c), check)
     return out[0] if squeeze else out
 
 
@@ -287,14 +305,10 @@ def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True,
 
 
 def _patches(xb: np.ndarray) -> np.ndarray:
-    """im2col: [b, H*W, 9*Cin] view copy of 3x3 neighborhoods."""
+    """im2col: [b, H*W, 9*Cin] copy of 3x3 neighborhoods, taps in (u, v) order."""
     b, h, w, c = xb.shape
-    xp = _pad_grid(xb)
-    cols = np.empty((b, h, w, 9, c), dtype=xb.dtype)
-    for u in range(3):
-        for v in range(3):
-            cols[:, :, :, 3 * u + v, :] = xp[:, u:u + h, v:v + w, :]
-    return cols.reshape(b, h * w, 9 * c)
+    win = sliding_window_view(_pad_grid(xb), (3, 3), axis=(1, 2))  # [b, H, W, C, 3, 3]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b, h * w, 9 * c)
 
 
 def conv3x3_full(x: np.ndarray, k: np.ndarray, check: str = "conv3x3_full") -> np.ndarray:

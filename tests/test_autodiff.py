@@ -229,6 +229,15 @@ class TestBackwardContract:
         assert np.array_equal(grads["unused"], np.zeros((2, 2)))
         assert unused.value.shape == (2, 2)
 
+    def test_untouched_leaf_gets_zeros_of_its_dtype(self):
+        t = Tape()
+        x = t.leaf(np.ones(3, np.float32), name="x", param=True)
+        t.leaf(np.ones((2, 4), np.float32), name="unused", param=True)
+        grads = t.backward(ad.sum_all(x))
+        assert grads["unused"].dtype == np.float32 and grads["unused"].shape == (2, 4)
+        assert not grads["unused"].any()
+        assert np.array_equal(grads["x"], np.ones(3, np.float32))
+
     def test_each_node_visited_once(self):
         # diamond graph: y = x*x + x*x reuses the same mul node twice
         t = Tape()

@@ -2,13 +2,16 @@
 
 Each reference below is the plain numpy formula: the broadcast matmul with
 its cotangents summed back by `_unbroadcast`, matmul followed by a bias add,
-the `np.var` LayerNorm, the tanh sigmoid, and the windowed `.sum(axis=(1, 2))`
-kernel gradient. Kernels that only reorder elementwise passes must match
+the `np.var` LayerNorm, the tanh sigmoid, the nine shifted multiply-adds of
+the depthwise conv, the windowed `.sum(axis=(1, 2))` kernel gradient, and the
+nine-copy im2col. Kernels that only reorder elementwise passes must match
 bit for bit. Kernels that change a summation order (a folded GEMM, a shared
 kernel reduced in one contraction) must match within a tolerance fixed by
 dtype, relative to the same sum taken over absolute values, which bounds the
 rounding error of any summation order.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -75,6 +78,16 @@ def ref_dwconv3x3(x, k):
             tap = k[:, u, v, None, None, :] if k.ndim == 4 else k[u, v]
             out += xp[:, u:u + h, v:v + w, :] * tap
     return out
+
+
+def ref_patches(x):
+    b, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = np.empty((b, h, w, 9, c), dtype=x.dtype)
+    for u in range(3):
+        for v in range(3):
+            cols[:, :, :, 3 * u + v, :] = xp[:, u:u + h, v:v + w, :]
+    return cols.reshape(b, h * w, 9 * c)
 
 
 def tape_op(op, *values):
@@ -186,6 +199,11 @@ class TestElementwiseKernels:
 # ---------------------------------------------------------------------------
 # depthwise conv and its kernel gradient
 
+DWCONV_SIDES = (1, 2, 3, 5, 8)
+# the CPE, a per-head conv, and long_seq's halo part and whole grid
+DWCONV_WORKLOAD_SHAPES = [(64, 8, 8, 64), (64, 8, 8, 16), (1, 18, 64, 32), (1, 64, 64, 32)]
+
+
 class TestDwconv:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("per_sample", [True, False])
@@ -194,6 +212,46 @@ class TestDwconv:
         x = randn(rng, (6, 5, 7, 4), dtype)
         k = randn(rng, ((6,) if per_sample else ()) + (3, 3, 4), dtype)
         assert np.array_equal(T.dwconv3x3(x, k), ref_dwconv3x3(x, k))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("per_sample", [True, False])
+    @pytest.mark.parametrize("c", [1, 2, 3, 16, 64])
+    def test_forward_sweep_bit_identical(self, c, per_sample, dtype):
+        # C = 1 takes the tap loop, every other width the row-window contraction
+        rng = np.random.default_rng(c)
+        for b, h, w in itertools.product((1, 2, 7), DWCONV_SIDES, DWCONV_SIDES):
+            x = randn(rng, (b, h, w, c), dtype)
+            k = randn(rng, ((b,) if per_sample else ()) + (3, 3, c), dtype)
+            assert np.array_equal(T.dwconv3x3(x, k), ref_dwconv3x3(x, k)), (b, h, w)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("per_sample", [True, False])
+    @pytest.mark.parametrize("shape", DWCONV_WORKLOAD_SHAPES)
+    def test_forward_workload_shapes(self, shape, per_sample, dtype):
+        rng = np.random.default_rng(9)
+        x = randn(rng, shape, dtype)
+        k = randn(rng, ((shape[0],) if per_sample else ()) + (3, 3, shape[-1]), dtype)
+        x_before = x.copy()
+        out = T.dwconv3x3(x, k)
+        assert np.array_equal(out, ref_dwconv3x3(x, k))
+        assert np.array_equal(x, x_before)
+        assert not np.shares_memory(out, x)
+        assert out.flags.writeable and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("c", [1, 5])
+    def test_forward_unbatched(self, c):
+        rng = np.random.default_rng(10)
+        x, k = randn(rng, (6, 7, c), np.float32), randn(rng, (3, 3, c), np.float32)
+        out = T.dwconv3x3(x, k)
+        assert out.shape == x.shape
+        assert np.array_equal(out, ref_dwconv3x3(x[None], k)[0])
+        assert not np.shares_memory(out, x)
+
+    def test_forward_counts_nine_multiply_adds(self):
+        x = np.ones((2, 4, 5, 3))
+        with T.count_flops() as fc:
+            T.dwconv3x3(x, np.ones((3, 3, 3)))
+        assert fc.total == 2 * 9 * x.size
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", [(16, 8, 8, 16), (1, 12, 12, 8), (3, 4, 5, 2)])
@@ -212,6 +270,16 @@ class TestDwconv:
         got = T.dwconv3x3_wgrad(x, g, per_sample=False)
         scale = ref_dwconv3x3_wgrad(np.abs(x), np.abs(g), False)
         assert_close(got, ref_dwconv3x3_wgrad(x, g, False), scale, dtype)
+
+
+class TestPatches:
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 1), (3, 5, 7, 2), (64, 8, 8, 16),
+                                       (1, 18, 64, 32)])
+    def test_window_view_matches_nine_copies(self, shape):
+        x = randn(np.random.default_rng(12), shape, np.float32)
+        cols = T._patches(x)
+        assert np.array_equal(cols, ref_patches(x))
+        assert cols.flags.c_contiguous and not np.shares_memory(cols, x)
 
 
 # ---------------------------------------------------------------------------

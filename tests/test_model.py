@@ -143,6 +143,56 @@ class TestAdamW:
         adamw_step(params, {"w": np.zeros(3)}, state, lr=0.1, weight_decay=0.05)
         assert np.allclose(params["w"], 2.0 * (1 - 0.1 * 0.05))
 
+    @staticmethod
+    def ref_adamw(params, grads, m, v, t, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
+        # the per-parameter formula the flat update replaced
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for name, p in params.items():
+            g = grads[name].astype(p.dtype, copy=False)
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v[name] *= b2
+            v[name] += (1.0 - b2) * g * g
+            update = (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+            if weight_decay:
+                update = update + weight_decay * p
+            p -= lr * update
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("dtype,grad_dtype", [(np.float32, np.float32),
+                                                  (np.float64, np.float64),
+                                                  (np.float32, np.float64)])
+    def test_flat_update_matches_per_parameter_formula(self, dtype, grad_dtype,
+                                                       weight_decay):
+        rng = np.random.default_rng(13)
+        shapes = {"w": (5, 3), "b": (3,), "k": (3, 3, 4), "s": ()}
+        params = {n: np.asarray(rng.standard_normal(s), dtype) for n, s in shapes.items()}
+        ref = {n: p.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(p) for n, p in ref.items()}
+        v = {n: np.zeros_like(p) for n, p in ref.items()}
+        objects = dict(params)
+        state = OptState.for_params(params)
+        for t in range(1, 4):
+            grads = {n: np.asarray(rng.standard_normal(s), grad_dtype)
+                     for n, s in shapes.items()}
+            adamw_step(params, grads, state, lr=0.01, weight_decay=weight_decay)
+            self.ref_adamw(ref, grads, m, v, t, 0.01, weight_decay)
+        for n, p in params.items():
+            assert p is objects[n]
+            assert p.dtype == dtype and np.array_equal(p, ref[n])
+        assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+        assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+
+    def test_mixed_dtype_params_rejected(self):
+        with pytest.raises(TypeError, match="one dtype"):
+            OptState.for_params({"a": np.zeros(2, np.float32), "b": np.zeros(2)})
+
+    def test_params_must_match_state(self):
+        state = OptState.for_params({"a": np.zeros(2), "b": np.zeros(3)})
+        with pytest.raises(ad.ContractError):
+            adamw_step({"b": np.zeros(3), "a": np.zeros(2)},
+                       {"a": np.zeros(2), "b": np.zeros(3)}, state, lr=0.1)
+
     def test_cosine_schedule_shape(self):
         base = 1e-3
         warm = [cosine_warmup_lr(s, 100, 10, base) for s in range(10)]
