@@ -25,8 +25,7 @@ for name in ARCH_NAMES:
     arch = get_arch(name)
     params = TTTLayerParams.create(np.random.default_rng(1), dim, 1, (name,))
 
-    def f(p, arch=arch):
-        t = Tape()
+    def f(p, t, arch=arch):
         leaves = {k: t.leaf(w, name=k, param=True) for k, w in p.items()}
         out = ttt_attention_nodes(t.leaf(x), leaves, params, cfg,
                                   grid if arch.requires_grid else None)

@@ -7,11 +7,17 @@ are themselves built on the tape as analytic expressions of these same
 primitives, so a single reverse pass propagates outer-loop gradients through
 unrolled inner updates; there are no nested tapes.
 
-Every node points back to its tape and the tape lists every node, so a graph
-is a reference cycle. Backward spends the graph (`Tape.release`): it cuts each
-node's link to the tape and drops its vjp and inputs, so a finished tape is
-freed by reference counting as soon as its caller lets go of it, not when the
-cyclic GC next runs. Node values, ops and indices stay readable.
+Whoever makes a tape owns it. The tape lists its nodes, and each node refers
+to its tape only weakly, so a graph holds no reference cycle: reference
+counting frees a tape, and every buffer only it holds, the moment its owner
+drops it, whether backward spent it, a forward-only caller abandoned it or a
+forward raised half way. `node.tape` is the tape while it lives; an op on a
+node whose tape is gone raises `ContractError`. Backward spends the graph
+(`Tape.release`): it cuts each node's link to the tape and drops its vjp and
+inputs. Node values, ops and indices stay readable.
+
+A vjp computes a cotangent only for an input that requires one; it returns
+None for a data leaf or a constant.
 
 A `Tape(record=False)` runs the same ops on the same values but records
 nothing: its nodes keep no inputs and no vjp and are not listed, so each
@@ -21,6 +27,7 @@ only want a forward value build on it.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -37,16 +44,21 @@ class OracleError(RuntimeError):
 
 
 class _SpentTape:
-    """Stands in for the tape of a spent node: recording a new op on it raises."""
+    """Stands in for the tape of a spent or dropped node: recording a new op on it raises."""
 
     def _refuse(self, *args, **kwargs):
-        raise ContractError("this node's tape was spent by backward or released; "
-                            "record the computation on a new Tape")
+        raise ContractError("this node's tape was spent by backward, released or "
+                            "dropped by its owner; record the computation on a new Tape")
 
     leaf = push = _refuse
 
 
 _SPENT = _SpentTape()
+
+
+def _no_tape():
+    """The tape reference of a released node: it resolves to nothing."""
+    return None
 
 
 class RowSlice:
@@ -61,16 +73,22 @@ class RowSlice:
 class Node:
     """One tape entry: a value plus the rule for pushing cotangents to inputs."""
 
-    __slots__ = ("tape", "idx", "value", "inputs", "vjp", "requires", "op")
+    __slots__ = ("_tape", "idx", "value", "inputs", "vjp", "requires", "op")
 
-    def __init__(self, tape, idx, value, inputs, vjp, requires, op):
-        self.tape = tape
+    def __init__(self, tape_ref, idx, value, inputs, vjp, requires, op):
+        self._tape = tape_ref
         self.idx = idx
         self.value = value
         self.inputs = inputs
         self.vjp = vjp
         self.requires = requires
         self.op = op
+
+    @property
+    def tape(self):
+        """The tape this node is on, or a stand-in that refuses new ops once it is gone."""
+        tape = self._tape()
+        return _SPENT if tape is None else tape
 
     @property
     def shape(self):
@@ -103,11 +121,12 @@ class Tape:
         self.params: dict[str, Node] = {}
         self.record = record
         self.spent = False
+        self._ref = weakref.ref(self)
 
     def leaf(self, value: np.ndarray, name: str | None = None, param: bool = False) -> Node:
         if not self.record:
-            return Node(self, None, np.asarray(value), (), None, False, "leaf")
-        node = Node(self, len(self.nodes), np.asarray(value), (), None, param, "leaf")
+            return Node(self._ref, None, np.asarray(value), (), None, False, "leaf")
+        node = Node(self._ref, len(self.nodes), np.asarray(value), (), None, param, "leaf")
         self.nodes.append(node)
         if param:
             if name is None:
@@ -119,22 +138,22 @@ class Tape:
 
     def push(self, value, inputs, vjp, op) -> Node:
         if not self.record:
-            return Node(self, None, value, (), None, False, op)
+            return Node(self._ref, None, value, (), None, False, op)
         requires = any(n.requires for n in inputs)
-        node = Node(self, len(self.nodes), value, tuple(inputs), vjp, requires, op)
+        node = Node(self._ref, len(self.nodes), value, tuple(inputs), vjp, requires, op)
         self.nodes.append(node)
         return node
 
     def release(self) -> None:
         """Spend the graph: cut every node's link to this tape, drop its vjp and inputs.
 
-        Nothing then points back at the tape, so it and every buffer only it
-        holds are freed once the caller drops it. `nodes`, `params` and each
-        node's value, op and idx stay readable; a new op on a node, or a
-        backward, raises ContractError.
+        The vjp closures hold the inputs' values, so dropping them frees those
+        buffers even while the caller keeps the tape or a node. `nodes`,
+        `params` and each node's value, op and idx stay readable; a new op on
+        a node, or a backward, raises ContractError.
         """
         for node in self.nodes:
-            node.tape = _SPENT
+            node._tape = _no_tape
             node.vjp = None
             node.inputs = ()
         self.spent = True
@@ -226,6 +245,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _checked(op: str, *cots) -> tuple:
+    """Debug-check each cotangent a vjp computed; None marks an input that needs none."""
+    if T._debug:
+        for c in cots:
+            if c is not None:
+                T._check(c, op)
+    return cots
+
+
 def _coerce(a, like: Node) -> Node:
     if isinstance(a, Node):
         return a
@@ -240,8 +268,9 @@ def add(a: Node, b) -> Node:
     out = T.add(a.value, b.value)
 
     def vjp(g):
-        return (T._check(_unbroadcast(g, a.value.shape), "add vjp"),
-                T._check(_unbroadcast(g, b.value.shape), "add vjp"))
+        return _checked("add vjp",
+                        _unbroadcast(g, a.value.shape) if a.requires else None,
+                        _unbroadcast(g, b.value.shape) if b.requires else None)
 
     return a.tape.push(out, (a, b), vjp, "add")
 
@@ -251,8 +280,9 @@ def sub(a: Node, b) -> Node:
     out = T.sub(a.value, b.value)
 
     def vjp(g):
-        return (T._check(_unbroadcast(g, a.value.shape), "sub vjp"),
-                T._check(_unbroadcast(-g, b.value.shape), "sub vjp"))
+        return _checked("sub vjp",
+                        _unbroadcast(g, a.value.shape) if a.requires else None,
+                        _unbroadcast(-g, b.value.shape) if b.requires else None)
 
     return a.tape.push(out, (a, b), vjp, "sub")
 
@@ -263,8 +293,9 @@ def mul(a: Node, b) -> Node:
     out = T.mul(av, bv)
 
     def vjp(g):
-        return (T._check(_unbroadcast(g * bv, av.shape), "mul vjp"),
-                T._check(_unbroadcast(g * av, bv.shape), "mul vjp"))
+        return _checked("mul vjp",
+                        _unbroadcast(g * bv, av.shape) if a.requires else None,
+                        _unbroadcast(g * av, bv.shape) if b.requires else None)
 
     return a.tape.push(out, (a, b), vjp, "mul")
 
@@ -278,10 +309,12 @@ def scale(a: Node, c: float) -> Node:
     return a.tape.push(out, (a,), vjp, "scale")
 
 
-def _shared_weight_vjp(g: np.ndarray, xv: np.ndarray, wv: np.ndarray):
+def _shared_weight_vjp(g: np.ndarray, x: Node, w: Node):
     """Cotangents of x @ w for a shared 2-D w, each one GEMM over x's folded rows."""
     g2 = T.fold_rows(g)
-    return (g2 @ wv.T).reshape(xv.shape), T.fold_rows(xv).T @ g2
+    dx = (g2 @ w.value.T).reshape(x.value.shape) if x.requires else None
+    dw = T.fold_rows(x.value).T @ g2 if w.requires else None
+    return dx, dw
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -291,25 +324,25 @@ def matmul(a: Node, b: Node) -> Node:
 
     def vjp(g):
         if bv.ndim == 2:
-            da, db = _shared_weight_vjp(g, av, bv)
-        else:
-            da = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
-            db = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
-        return T._check(da, "matmul vjp"), T._check(db, "matmul vjp")
+            return _checked("matmul vjp", *_shared_weight_vjp(g, a, b))
+        return _checked(
+            "matmul vjp",
+            _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
+            if a.requires else None,
+            _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
+            if b.requires else None)
 
     return a.tape.push(out, (a, b), vjp, "matmul")
 
 
 def linear(x: Node, w: Node, b: Node) -> Node:
     """x @ w + b for a shared [K, N] weight and [N] bias, as one tape op."""
-    xv, wv = x.value, w.value
-    out = T.linear(xv, wv, b.value)
+    out = T.linear(x.value, w.value, b.value)
 
     def vjp(g):
-        dx, dw = _shared_weight_vjp(g, xv, wv)
-        db = T.fold_rows(g).sum(axis=0)
-        return (T._check(dx, "linear vjp"), T._check(dw, "linear vjp"),
-                T._check(db, "linear vjp"))
+        dx, dw = _shared_weight_vjp(g, x, w)
+        db = T.fold_rows(g).sum(axis=0) if b.requires else None
+        return _checked("linear vjp", dx, dw, db)
 
     return x.tape.push(out, (x, w, b), vjp, "linear")
 
@@ -321,7 +354,7 @@ def transpose(a: Node) -> Node:
     out = T.transpose(a.value)
 
     def vjp(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (T._check(np.swapaxes(g, -1, -2), "transpose vjp"),)
 
     return a.tape.push(out, (a,), vjp, "transpose")
 
@@ -331,7 +364,7 @@ def reshape(a: Node, shape) -> Node:
     out = T.reshape(a.value, shape)
 
     def vjp(g):
-        return (g.reshape(src),)
+        return (T._check(g.reshape(src), "reshape vjp"),)
 
     return a.tape.push(out, (a,), vjp, "reshape")
 
@@ -341,7 +374,7 @@ def rows(a: Node, lo: int, hi: int) -> Node:
     out = np.ascontiguousarray(a.value[..., lo:hi, :])
 
     def vjp(g):
-        return (RowSlice(g, lo, hi),)
+        return (RowSlice(T._check(g, "rows vjp"), lo, hi),)
 
     return a.tape.push(out, (a,), vjp, "rows")
 
@@ -353,7 +386,7 @@ def pad_rows(a: Node, n: int, lo: int, hi: int) -> Node:
     out[..., lo:hi, :] = a.value
 
     def vjp(g):
-        return (np.ascontiguousarray(g[..., lo:hi, :]),)
+        return (T._check(np.ascontiguousarray(g[..., lo:hi, :]), "pad_rows vjp"),)
 
     return a.tape.push(out, (a,), vjp, "pad_rows")
 
@@ -365,7 +398,9 @@ def concat_last(parts: list[Node]) -> Node:
     offsets = np.cumsum(widths)[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(s) for s in np.split(g, offsets, axis=-1))
+        return _checked("concat_last vjp",
+                        *(np.ascontiguousarray(s) if p.requires else None
+                          for p, s in zip(parts, np.split(g, offsets, axis=-1))))
 
     return parts[0].tape.push(out, tuple(parts), vjp, "concat_last")
 
@@ -378,7 +413,7 @@ def sum_all(a: Node) -> Node:
     T._tick(a.value.size)
 
     def vjp(g):
-        return (np.full(a.value.shape, g, dtype=a.value.dtype),)
+        return (T._check(np.full(a.value.shape, g, dtype=a.value.dtype), "sum_all vjp"),)
 
     return a.tape.push(out, (a,), vjp, "sum_all")
 
@@ -389,7 +424,8 @@ def sum_last(a: Node) -> Node:
     T._tick(a.value.size)
 
     def vjp(g):
-        return (np.broadcast_to(g[..., None], a.value.shape).astype(a.value.dtype),)
+        return (T._check(np.broadcast_to(g[..., None], a.value.shape).astype(a.value.dtype),
+                         "sum_last vjp"),)
 
     return a.tape.push(out, (a,), vjp, "sum_last")
 
@@ -400,7 +436,8 @@ def sum_last2(a: Node) -> Node:
     T._tick(a.value.size)
 
     def vjp(g):
-        return (np.broadcast_to(g[..., None, None], a.value.shape).astype(a.value.dtype),)
+        return (T._check(np.broadcast_to(g[..., None, None], a.value.shape)
+                         .astype(a.value.dtype), "sum_last2 vjp"),)
 
     return a.tape.push(out, (a,), vjp, "sum_last2")
 
@@ -414,8 +451,9 @@ def matscale(m: Node, s: Node) -> Node:
     T._tick(mv.size)
 
     def vjp(g):
-        return (T._check(g * sv[..., None, None], "matscale vjp"),
-                T._check((g * mv).sum(axis=(-2, -1)), "matscale vjp"))
+        return _checked("matscale vjp",
+                        g * sv[..., None, None] if m.requires else None,
+                        (g * mv).sum(axis=(-2, -1)) if s.requires else None)
 
     return m.tape.push(out, (m, s), vjp, "matscale")
 
@@ -427,7 +465,8 @@ def mean_tokens(a: Node) -> Node:
     T._tick(a.value.size)
 
     def vjp(g):
-        return (np.broadcast_to(g[..., None, :] / n, a.value.shape).astype(a.value.dtype),)
+        return (T._check(np.broadcast_to(g[..., None, :] / n, a.value.shape)
+                         .astype(a.value.dtype), "mean_tokens vjp"),)
 
     return a.tape.push(out, (a,), vjp, "mean_tokens")
 
@@ -560,8 +599,9 @@ def colscale(m: Node, s: Node) -> Node:
     T._tick(mv.size)
 
     def vjp(g):
-        return (T._check(g * sv[..., None], "colscale vjp"),
-                T._check((g * mv).sum(axis=-1), "colscale vjp"))
+        return _checked("colscale vjp",
+                        g * sv[..., None] if m.requires else None,
+                        (g * mv).sum(axis=-1) if s.requires else None)
 
     return m.tape.push(out, (m, s), vjp, "colscale")
 
@@ -584,18 +624,20 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
     T._tick(8 * xv.size)
 
     def vjp(g):
-        dxhat = g * gamma.value
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        t = dxhat * xhat
-        m2 = t.mean(axis=-1, keepdims=True)
-        dx = dxhat
-        dx -= m1
-        dx -= np.multiply(xhat, m2, out=t)
-        dx *= inv
-        dgamma = _unbroadcast(np.multiply(g, xhat, out=t), gamma.value.shape)
-        dbeta = _unbroadcast(g, beta.value.shape)
-        return (T._check(dx, "layer_norm vjp"), T._check(dgamma, "layer_norm vjp"),
-                T._check(dbeta, "layer_norm vjp"))
+        dx = t = None
+        if x.requires:
+            dxhat = g * gamma.value
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            t = dxhat * xhat
+            m2 = t.mean(axis=-1, keepdims=True)
+            dx = dxhat
+            dx -= m1
+            dx -= np.multiply(xhat, m2, out=t)
+            dx *= inv
+        dgamma = (_unbroadcast(np.multiply(g, xhat, out=t), gamma.value.shape)
+                  if gamma.requires else None)
+        dbeta = _unbroadcast(g, beta.value.shape) if beta.requires else None
+        return _checked("layer_norm vjp", dx, dgamma, dbeta)
 
     return x.tape.push(T._check(out, "layer_norm"), (x, gamma, beta), vjp, "layer_norm")
 
@@ -625,8 +667,10 @@ def dwconv3x3(x: Node, k: Node) -> Node:
     out = T.dwconv3x3(xv, kv)
 
     def vjp(g):
-        dx = T.dwconv3x3(g, T.flip_dw(kv), check="dwconv3x3 vjp")
-        dk = T.dwconv3x3_wgrad(xv, g, per_sample=(kv.ndim == 4), check="dwconv3x3 vjp")
+        dx = (T.dwconv3x3(g, T.flip_dw(kv), check="dwconv3x3 vjp")
+              if x.requires else None)
+        dk = (T.dwconv3x3_wgrad(xv, g, per_sample=(kv.ndim == 4), check="dwconv3x3 vjp")
+              if k.requires else None)
         return dx, dk
 
     return x.tape.push(out, (x, k), vjp, "dwconv3x3")
@@ -638,8 +682,10 @@ def conv3x3(x: Node, k: Node) -> Node:
     out = T.conv3x3_full(xv, kv)
 
     def vjp(g):
-        dx = T.conv3x3_full(g, T.flip_full(kv), check="conv3x3 vjp")
-        dk = T.conv3x3_full_wgrad(xv, g, per_sample=(kv.ndim == 5), check="conv3x3 vjp")
+        dx = (T.conv3x3_full(g, T.flip_full(kv), check="conv3x3 vjp")
+              if x.requires else None)
+        dk = (T.conv3x3_full_wgrad(xv, g, per_sample=(kv.ndim == 5), check="conv3x3 vjp")
+              if k.requires else None)
         return dx, dk
 
     return x.tape.push(out, (x, k), vjp, "conv3x3")
@@ -651,8 +697,9 @@ def dwconv3x3_wgrad(x: Node, g_in: Node) -> Node:
     out = T.dwconv3x3_wgrad(xv, gv, per_sample=True)
 
     def vjp(ct):
-        dx = T.dwconv3x3(gv, T.flip_dw(ct), check="dwconv3x3_wgrad vjp")
-        dg = T.dwconv3x3(xv, ct, check="dwconv3x3_wgrad vjp")
+        dx = (T.dwconv3x3(gv, T.flip_dw(ct), check="dwconv3x3_wgrad vjp")
+              if x.requires else None)
+        dg = T.dwconv3x3(xv, ct, check="dwconv3x3_wgrad vjp") if g_in.requires else None
         return dx, dg
 
     return x.tape.push(out, (x, g_in), vjp, "dwconv3x3_wgrad")
@@ -664,8 +711,9 @@ def conv3x3_wgrad(x: Node, g_in: Node) -> Node:
     out = T.conv3x3_full_wgrad(xv, gv, per_sample=True)
 
     def vjp(ct):
-        dx = T.conv3x3_full(gv, T.flip_full(ct), check="conv3x3_wgrad vjp")
-        dg = T.conv3x3_full(xv, ct, check="conv3x3_wgrad vjp")
+        dx = (T.conv3x3_full(gv, T.flip_full(ct), check="conv3x3_wgrad vjp")
+              if x.requires else None)
+        dg = T.conv3x3_full(xv, ct, check="conv3x3_wgrad vjp") if g_in.requires else None
         return dx, dg
 
     return x.tape.push(out, (x, g_in), vjp, "conv3x3_wgrad")
@@ -674,24 +722,27 @@ def conv3x3_wgrad(x: Node, g_in: Node) -> Node:
 # ---------------------------------------------------------------------------
 # numeric validation
 
-def gradcheck(f: Callable[[dict], Node], params: dict[str, np.ndarray],
+def gradcheck(f: Callable[[dict, Tape], Node], params: dict[str, np.ndarray],
               eps: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
-    `f` rebuilds its computation on a fresh tape from a fresh parameter dict
-    and returns the scalar root node; params must be float64 for the stated
-    tolerances to be meaningful. Error metric per entry:
-    |analytic - numeric| / max(1, |numeric|).
+    `f(p, tape)` builds its computation on `tape` from a fresh parameter
+    dict and returns the scalar root node; gradcheck makes and holds every
+    tape. The analytic pass records; each numeric evaluation runs on a
+    `Tape(record=False)`, which gives the same values without a graph.
+    params must be float64 for the stated tolerances to be meaningful.
+    Error metric per entry: |analytic - numeric| / max(1, |numeric|).
     """
     def value(p):
-        root = f(p)
-        root.tape.release()
-        return root.value
+        return f(p, Tape(record=False)).value
 
-    root = f(params)
+    tape = Tape()
+    root = f(params, tape)
+    if not np.isfinite(root.value).all():
+        raise T.NonFiniteError(f"gradcheck root ({root.op}) is non-finite: {root.value}")
     if not np.allclose(root.value, value(params), rtol=0, atol=0):
         raise OracleError("gradcheck function is not deterministic")
-    analytic = root.tape.backward(root)
+    analytic = tape.backward(root)
 
     worst = 0.0
     for name, base in params.items():

@@ -202,7 +202,7 @@ def scale(a: np.ndarray, c: float) -> np.ndarray:
 
 def sign(x: np.ndarray) -> np.ndarray:
     _tick(x.size)
-    return np.sign(x)
+    return _check(np.sign(x), "sign")
 
 
 def abs_(x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from tttlab import tensor as T
 from tttlab.autodiff import ContractError, OracleError, Tape, gradcheck
 from tttlab import data as D
 from tttlab.harness import RecallModel, RunConfig
-from tttlab.inner import InnerModel, InnerTrainConfig, inner_update
+from tttlab.inner import DivergenceError, InnerModel, InnerTrainConfig, inner_update
 from tttlab.layer import TTTLayerParams, ttt_attention, ttt_attention_nodes
 from tttlab.model import Model, ModelConfig, forward_classifier
 
@@ -91,8 +91,7 @@ class TestPerOpGradients:
         g0 = RNG.uniform(0.5, 1.5, 6)
         b0 = RNG.standard_normal(6)
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             return ad.sum_all(ad.mul(out := ad.layer_norm(
                 t.leaf(p["x"], name="x", param=True),
                 t.leaf(p["g"], name="g", param=True),
@@ -103,8 +102,7 @@ class TestPerOpGradients:
         a0 = RNG.standard_normal((2, 3, 4))
         b0 = RNG.standard_normal((4, 5))
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             prod = ad.matmul(t.leaf(p["a"], name="a", param=True),
                              t.leaf(p["b"], name="b", param=True))
             return ad.sum_all(ad.mul(prod, prod))
@@ -116,8 +114,7 @@ class TestPerOpGradients:
             w0 = RNG.standard_normal((4, 5))
             b0 = RNG.standard_normal(5)
 
-            def f(p):
-                t = Tape()
+            def f(p, t):
                 out = ad.linear(t.leaf(p["x"], name="x", param=True),
                                 t.leaf(p["w"], name="w", param=True),
                                 t.leaf(p["b"], name="b", param=True))
@@ -140,8 +137,7 @@ class TestPerOpGradients:
         s0 = RNG.standard_normal((2, 4))
         r0 = RNG.standard_normal((2,))
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             out = ad.colscale(t.leaf(p["m"], name="m", param=True),
                               t.leaf(p["s"], name="s", param=True))
             out = ad.matscale(out, t.leaf(p["r"], name="r", param=True))
@@ -151,8 +147,7 @@ class TestPerOpGradients:
     def test_concat_last(self):
         a0, b0 = RNG.standard_normal((3, 2)), RNG.standard_normal((3, 4))
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             cat = ad.concat_last([t.leaf(p["a"], name="a", param=True),
                                   t.leaf(p["b"], name="b", param=True)])
             return ad.sum_all(ad.mul(cat, cat))
@@ -162,8 +157,7 @@ class TestPerOpGradients:
         logits0 = RNG.standard_normal((4, 5))
         labels = np.array([0, 3, 2, 1])
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             return ad.cross_entropy(t.leaf(p["l"], name="l", param=True), labels)
         assert gradcheck(f, {"l": logits0}) < 1e-8
 
@@ -172,8 +166,7 @@ class TestPerOpGradients:
         kd0 = RNG.standard_normal((3, 3, 2))
         kf0 = RNG.standard_normal((3, 3, 2, 2))
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             x = t.leaf(p["x"], name="x", param=True)
             y = ad.dwconv3x3(x, t.leaf(p["kd"], name="kd", param=True))
             z = ad.conv3x3(y, t.leaf(p["kf"], name="kf", param=True))
@@ -184,15 +177,13 @@ class TestPerOpGradients:
         x0 = RNG.standard_normal((2, 3, 3, 2))
         g0 = RNG.standard_normal((2, 3, 3, 2))
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             h = ad.dwconv3x3_wgrad(t.leaf(p["x"], name="x", param=True),
                                    t.leaf(p["g"], name="g", param=True))
             return ad.sum_all(ad.mul(h, h))
         assert gradcheck(f, {"x": x0, "g": g0}) < 1e-7
 
-        def f2(p):
-            t = Tape()
+        def f2(p, t):
             h = ad.conv3x3_wgrad(t.leaf(p["x"], name="x", param=True),
                                  t.leaf(p["g"], name="g", param=True))
             return ad.sum_all(ad.mul(h, h))
@@ -259,8 +250,7 @@ class TestBackwardContract:
 
 class TestGradcheck:
     def test_constant_function(self):
-        def f(p):
-            t = Tape()
+        def f(p, t):
             t.leaf(p["x"], name="x", param=True)
             return t.leaf(np.asarray(1.0))
         assert gradcheck(f, {"x": np.ones(3)}) == 0.0
@@ -273,8 +263,7 @@ class TestGradcheck:
         v0 = RNG.standard_normal((6, 4))
         ws0 = arch.init(np.random.default_rng(3), 4)
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             ws = [t.leaf(p[f"w{j}"], name=f"w{j}", param=True) for j in range(2)]
             vhat = arch.forward(ws, t.leaf(k0))
             return loss_value("mse", vhat, t.leaf(v0))
@@ -282,12 +271,29 @@ class TestGradcheck:
         assert gradcheck(f, params, eps=1e-5) < 1e-6
 
     def test_non_deterministic_function_rejected(self):
-        def f(p):
-            t = Tape()
+        def f(p, t):
             t.leaf(p["x"], name="x", param=True)
             return t.leaf(np.asarray(np.random.rand()))
         with pytest.raises(OracleError):
             gradcheck(f, {"x": np.ones(2)})
+
+    def test_non_finite_root_is_named_not_called_non_deterministic(self):
+        def f(p, t):
+            return ad.sum_all(ad.sqrt_(t.leaf(p["x"], name="x", param=True)))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(T.NonFiniteError, match=r"^gradcheck root \(sum_all\)"):
+            gradcheck(f, {"x": np.array([-1.0, 4.0])})
+
+    def test_only_the_analytic_pass_records(self):
+        recorded = []
+
+        def f(p, t):
+            recorded.append(t.record)
+            x = t.leaf(p["x"], name="x", param=True)
+            return ad.sum_all(ad.mul(x, x))
+        assert gradcheck(f, {"x": np.arange(3.0)}) < 1e-8
+        # one recorded pass, the determinism check and 2 evaluations per entry
+        assert recorded == [True] + [False] * (1 + 2 * 3)
 
 
 class TestLayerGradientFlow:
@@ -319,8 +325,7 @@ class TestLayerGradientFlow:
         x = rng.standard_normal((5, 6))
         cfg = InnerTrainConfig(loss="mse")
 
-        def f(p):
-            t = Tape()
+        def f(p, t):
             leaves = {k: t.leaf(v, name=k, param=True) for k, v in p.items()}
             out = ttt_attention_nodes(t.leaf(x), leaves, params, cfg)
             return ad.sum_all(ad.mul(out, out))
@@ -354,11 +359,15 @@ def _model_step():
     return lambda: model.loss_and_grads(images, np.array([1, 7]))
 
 
-def _recall_step():
+def _tiny_recall():
     rc = RunConfig(dim=8, heads=2, recall_seq=5, recall_width=4, recall_keys=6,
                    inner_loss="mse", inner_parts=2)
     task = D.synth_recall_task(0, 4, rc.recall_seq, rc.recall_width, n_keys=rc.recall_keys)
-    model = RecallModel(rc, task.n_classes, np.random.default_rng(2))
+    return RecallModel(rc, task.n_classes, np.random.default_rng(2)), task
+
+
+def _recall_step():
+    model, task = _tiny_recall()
     return lambda: model.loss_and_grads(task.tokens, task.labels)
 
 
@@ -384,16 +393,42 @@ def _inner_update():
 def _gradcheck():
     x0 = RNG.standard_normal((2, 3))
 
-    def f(p):
-        t = Tape()
+    def f(p, t):
         x = t.leaf(p["x"], name="x", param=True)
         return ad.sum_all(ad.mul(ad.rows(x, 0, 1), x))
     return lambda: gradcheck(f, {"x": x0})
 
 
+def _recording_forward_dropped():
+    model, images = _tiny_classifier()
+    return lambda: model.forward_nodes(Tape(), images).value
+
+
+def _recall_eval_recording():
+    # the benchmark's recall eval: a recording tape dropped without backward
+    model, task = _tiny_recall()
+    return lambda: model.logits_nodes(Tape(), task.tokens).value
+
+
+def _diverging_step():
+    cfg = ModelConfig(image_size=8, patch_size=4, dim=8, heads=2, depth=1,
+                      head_archs=("fc", "fc"),
+                      inner=InnerTrainConfig(loss="mse", epochs=150, lr=80.0))
+    model = Model(cfg, np.random.default_rng(0), dtype=np.float64)
+    model.params["b0.ln1.g"][:] = 100.0    # LayerNorm would undo a scaled input
+    images = np.random.default_rng(1).standard_normal((2, 8, 8, 3))
+
+    def run():
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+            model.loss_and_grads(images, np.array([1, 7]))
+    return run
+
+
 class TestTapeLifetime:
     @pytest.mark.parametrize("make", [_model_step, _recall_step, _forward_classifier,
-                                      _ttt_attention, _inner_update, _gradcheck])
+                                      _ttt_attention, _inner_update, _gradcheck,
+                                      _recording_forward_dropped, _recall_eval_recording,
+                                      _diverging_step])
     def test_no_tape_outlives_its_call(self, make):
         # with the cyclic GC off, only reference counting can free a tape
         run = make()
@@ -424,6 +459,37 @@ class TestTapeLifetime:
         with pytest.raises(ContractError, match="spent"):
             ad.add(y, 1.0)
 
+    def test_node_refers_to_its_live_tape(self):
+        t = Tape()
+        x = t.leaf(np.ones(3), name="x", param=True)
+        assert x.tape is t and ad.mul(x, x).tape is t
+
+    def test_op_on_node_of_dropped_tape_raises(self):
+        x = Tape().leaf(np.ones(3), name="x", param=True)
+        y = Tape(record=False).leaf(np.ones(3))
+        for node in (x, y):
+            with pytest.raises(ContractError, match="dropped"):
+                ad.mul(node, node)
+            with pytest.raises(ContractError, match="dropped"):
+                ad.add(node, 1.0)
+
+    def test_dropped_recording_evals_do_not_pile_up(self):
+        # the cyclic GC stays on: only a tape no one owns any more may be freed
+        model, task = _tiny_recall()
+
+        def peak(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                for _ in range(n):
+                    model.logits_nodes(Tape(), task.tokens).value
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(1)
+        one = peak(1)
+        assert peak(200) <= 2 * one, one
+
     def test_spent_tape_keeps_values_ops_and_indices(self):
         t = Tape()
         x = t.leaf(np.arange(3.0), name="x", param=True)
@@ -445,6 +511,75 @@ class TestTapeLifetime:
         with pytest.raises(FloatingPointError):
             t.backward(root)
         assert t.spent and x.tape is not t
+
+
+# ---------------------------------------------------------------------------
+# a vjp computes no cotangent for an input that needs none
+
+def _w(*shape):
+    return np.random.default_rng(sum(shape)).standard_normal(shape)
+
+
+PRUNED_OPS = {
+    "matmul_shared": (ad.matmul, lambda: [_w(2, 4, 3), _w(3, 5)]),
+    "matmul_stacked": (ad.matmul, lambda: [_w(2, 4, 3), _w(2, 3, 5)]),
+    "linear": (ad.linear, lambda: [_w(2, 4, 3), _w(3, 5), _w(5)]),
+    "mul": (ad.mul, lambda: [_w(2, 4, 3), _w(3)]),
+    "colscale": (ad.colscale, lambda: [_w(2, 4, 3), _w(2, 4)]),
+    "matscale": (ad.matscale, lambda: [_w(2, 4, 3), _w(2)]),
+    "layer_norm": (ad.layer_norm, lambda: [_w(2, 4, 6), _w(6), _w(6)]),
+    "dwconv3x3": (ad.dwconv3x3, lambda: [_w(2, 3, 3, 2), _w(3, 3, 2)]),
+    "dwconv3x3_per_sample": (ad.dwconv3x3, lambda: [_w(2, 3, 3, 2), _w(2, 3, 3, 2)]),
+    "conv3x3": (ad.conv3x3, lambda: [_w(2, 3, 3, 2), _w(3, 3, 2, 4)]),
+    "dwconv3x3_wgrad": (ad.dwconv3x3_wgrad, lambda: [_w(2, 3, 3, 2), _w(2, 3, 3, 2)]),
+    "conv3x3_wgrad": (ad.conv3x3_wgrad, lambda: [_w(2, 3, 3, 2), _w(2, 3, 3, 2)]),
+}
+
+
+def _op_grads(op, values, data):
+    """Cotangents of one op node and the parameter gradients through it."""
+    t = Tape()
+    leaves = [t.leaf(v, name=f"p{i}", param=i not in data) for i, v in enumerate(values)]
+    node = op(*leaves)
+    cots = node.vjp(np.ones_like(node.value))
+    return cots, t.backward(ad.sum_all(ad.mul(node, node)))
+
+
+class TestPrunedCotangents:
+    @pytest.mark.parametrize("name", sorted(PRUNED_OPS))
+    def test_data_input_gets_none_and_params_are_unchanged(self, name):
+        op, make = PRUNED_OPS[name]
+        values = make()
+        _, ref = _op_grads(op, values, data=())
+        for i in range(len(values)):
+            cots, grads = _op_grads(op, values, data=(i,))
+            assert cots[i] is None
+            assert all(c is not None for j, c in enumerate(cots) if j != i)
+            assert sorted(grads) == sorted(k for k in ref if k != f"p{i}")
+            for k, g in grads.items():
+                assert g.dtype == ref[k].dtype and np.array_equal(g, ref[k])
+
+    def test_data_leaf_of_a_layer_gets_no_cotangent(self):
+        rng = np.random.default_rng(8)
+        params = TTTLayerParams.create(rng, 8, 2, ("dwconv3x3", "gated_fc"))
+        x = rng.standard_normal((2, 9, 8))
+        cfg = InnerTrainConfig(loss="mse", parts=2, dynamic_lr=True)
+        grads = []
+        for as_param in (False, True):
+            t = Tape()
+            leaves = {k: t.leaf(v, name=k, param=True)
+                      for k, v in params.named_arrays().items()}
+            xl = t.leaf(x, name="x", param=as_param)
+            out = ttt_attention_nodes(xl, leaves, params, cfg, (3, 3))
+            for node in t.nodes:
+                if node.vjp is not None and xl in node.inputs and not as_param:
+                    cots = node.vjp(np.ones_like(node.value))
+                    assert all(c is None for inp, c in zip(node.inputs, cots) if inp is xl)
+            grads.append(t.backward(ad.sum_all(ad.mul(out, out))))
+        pruned, full = grads
+        assert sorted(full) == sorted(pruned) + ["x"]
+        for k, g in pruned.items():
+            assert np.array_equal(g, full[k])
 
 
 def reference_backward(tape, root):

@@ -304,6 +304,13 @@ def poisoned(shape):
     return x
 
 
+LAYOUT_OPS = {"reshape": lambda x: ad.reshape(x, (4, 6)),
+              "transpose": ad.transpose,
+              "rows": lambda x: ad.rows(x, 1, 3),
+              "pad_rows": lambda x: ad.pad_rows(x, 6, 1, 5),
+              "concat_last": lambda x: ad.concat_last([x, x])}
+
+
 @pytest.mark.usefixtures("debug")
 class TestDebugCoverage:
     def test_tensor_matmul(self):
@@ -449,6 +456,22 @@ class TestDebugCoverage:
     def test_reduction(self, op):
         with pytest.raises(T.NonFiniteError, match=f"^{op} produced"):
             tape_op(getattr(ad, op), poisoned((2, 4, 3)))
+
+    @pytest.mark.parametrize("op", ["sum_all", "sum_last", "sum_last2", "mean_tokens"])
+    def test_reduction_vjp(self, op):
+        _, node = tape_op(getattr(ad, op), np.ones((2, 4, 3)))
+        with pytest.raises(T.NonFiniteError, match=f"^{op} vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    @pytest.mark.parametrize("op", sorted(LAYOUT_OPS))
+    def test_layout_vjp(self, op):
+        _, node = tape_op(LAYOUT_OPS[op], np.ones((2, 4, 3)))
+        with pytest.raises(T.NonFiniteError, match=f"^{op} vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_sign(self):
+        with pytest.raises(T.NonFiniteError, match="^sign produced"):
+            tape_op(ad.sign, poisoned((4, 6)))
 
     @pytest.mark.parametrize("kshape", [(3, 3, 2), (2, 3, 3, 2)])
     def test_dwconv3x3(self, kshape):

@@ -72,8 +72,7 @@ class TestBlock:
         model = Model(cfg, np.random.default_rng(2), dtype=np.float64)
         x0 = np.random.default_rng(3).standard_normal((1, 16, 8))
 
-        def f(p):
-            tape = Tape()
+        def f(p, tape):
             leaves = {k: tape.leaf(v, name=k, param=True) for k, v in p.items()}
             out = ttt_block_nodes(tape.leaf(x0), leaves, model.layers[0], cfg,
                                   prefix="b0.")
