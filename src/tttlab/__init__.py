@@ -2,7 +2,7 @@
 
 from . import allocator  # first, so the allocator policy is set before tttlab allocates
 from . import autodiff, data, harness, inner, layer, model, tensor
-from .autodiff import Tape, backward, gradcheck
+from .autodiff import Tape, gradcheck
 from .inner import (InnerModel, InnerTrainConfig, inner_forward, inner_loss,
                     inner_loss_grad, inner_update, mixed_second_derivative,
                     partition_batches)

@@ -94,21 +94,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Node({self.op}, shape={self.value.shape}, id={self.idx})"
 
@@ -192,14 +177,6 @@ class Tape:
             return out
         finally:
             self.release()
-
-    def max_node_bytes(self) -> int:
-        """Largest single buffer recorded on the tape (linear-memory assertions)."""
-        return max(n.value.nbytes for n in self.nodes)
-
-
-def backward(tape: Tape, root: Node) -> dict[str, np.ndarray]:
-    return tape.backward(root)
 
 
 def _accumulate(grads: dict, owned: set, inp: Node, cot) -> None:

@@ -56,11 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _runconfig(args) -> RunConfig:
+    doc = {}
     if getattr(args, "config", None):
         with open(args.config) as fp:
-            rc = RunConfig.from_json(fp.read())
-    else:
-        rc = RunConfig()
+            doc = json.load(fp)
+    if args.command == "gradcheck":
+        doc.setdefault("threads", min(8, os.cpu_count() or 1))
+    rc = RunConfig.from_dict(doc)
     rc.command = args.command
     for name in ("seed", "out_dir", "threads", "task", "epochs", "batch_size",
                  "train_size", "val_size", "data_path", "inner_loss", "inner_lr",
@@ -96,8 +98,6 @@ def main(argv=None) -> int:
         print(f"wrote {len(report['rows'])} rows to {report['csv']}")
         return 0
     if args.command == "gradcheck":
-        if args.threads is None:
-            rc.threads = min(8, os.cpu_count() or 1)
         report = cmd_gradcheck(rc, tol=args.tol)
         if report["failures"]:
             print(f"{len(report['failures'])} cells FAILED at tol {args.tol}")

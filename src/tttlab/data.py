@@ -52,17 +52,19 @@ def _parse_records(raw: bytes, source: str) -> Dataset:
 def load_cifar10(path: str, split: str = "train") -> Dataset:
     """Load CIFAR-10 binary batches from a directory, or one .bin file directly."""
     if os.path.isfile(path):
-        ds = _parse_records(open(path, "rb").read(), path)
+        with open(path, "rb") as fp:
+            ds = _parse_records(fp.read(), path)
         ds.split = split
         return ds
     names = ([f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train"
              else ["test_batch.bin"])
     chunks = []
     for name in names:
-        fp = os.path.join(path, name)
-        if not os.path.exists(fp):
-            raise FormatError(f"missing CIFAR-10 batch file {fp}")
-        chunks.append(open(fp, "rb").read())
+        batch_path = os.path.join(path, name)
+        if not os.path.exists(batch_path):
+            raise FormatError(f"missing CIFAR-10 batch file {batch_path}")
+        with open(batch_path, "rb") as fp:
+            chunks.append(fp.read())
     ds = _parse_records(b"".join(chunks), path)
     ds.split = split
     return ds

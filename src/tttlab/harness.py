@@ -16,6 +16,7 @@ import tracemalloc
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -106,9 +107,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        doc = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RunConfig":
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown RunConfig fields: {sorted(unknown)}")
         return cls(**doc).validate()
@@ -133,6 +136,17 @@ class RunConfig:
             raise ValueError(f"unknown head_archs {unknown}; expected names from {ARCH_NAMES}")
         if self.head_archs and len(self.head_archs) != self.heads:
             raise ValueError(f"{len(self.head_archs)} head_archs for {self.heads} heads")
+        if self.task == "recall":
+            # at least one key/value pair, each with a key of its own, then the query
+            if not 2 <= self.recall_seq <= self.recall_keys + 1:
+                raise ValueError(f"recall_seq {self.recall_seq} must be in [2, recall_keys "
+                                 f"+ 1 = {self.recall_keys + 1}]")
+            tokens = self.recall_seq
+        else:
+            tokens = self.model_config().tokens     # refuses a patch that does not divide
+        if self.inner_parts > tokens:
+            raise ValueError(f"inner_parts {self.inner_parts} exceeds the {tokens} tokens "
+                             f"of a {self.task} sample")
         return self
 
 
@@ -163,22 +177,24 @@ def _write_manifest(rc: RunConfig, outputs: list[str], status: str, extra=None):
     if extra:
         doc.update(extra)
     path = os.path.join(rc.out_dir, "manifest.json")
-    with open(path, "w") as fp:
-        json.dump(doc, fp, indent=1, sort_keys=True)
+    with M.replacing(path) as (tmp,):
+        with open(tmp, "w") as fp:
+            json.dump(doc, fp, indent=1, sort_keys=True)
     return path
 
 
 # ---------------------------------------------------------------------------
 # recall model: embed -> pre-norm TTT residual -> readout at the query token
 
-class RecallModel:
+class RecallModel(M.Classifier):
     def __init__(self, rc: RunConfig, n_classes: int, rng: np.random.Generator,
                  dtype=np.float32):
         din = 2 * rc.recall_width
         dim, heads = rc.dim, rc.heads
-        archs = tuple(rc.head_archs) if rc.head_archs else ("gated_fc",) * heads
+        self.head_archs = tuple(rc.head_archs) if rc.head_archs else ("gated_fc",) * heads
+        self.tokens, self.grid = rc.recall_seq, None
         self.inner_cfg = rc.inner_config()
-        self.layer = TTTLayerParams.create(rng, dim, heads, archs, dtype=dtype)
+        self.layer = TTTLayerParams.create(rng, dim, heads, self.head_archs, dtype=dtype)
         self.params = {"embed.w": (rng.standard_normal((din, dim)) * 0.05).astype(dtype),
                        "embed.b": np.zeros(dim, dtype=dtype),
                        "ln.g": np.ones(dim, dtype=dtype),
@@ -188,7 +204,7 @@ class RecallModel:
         self.params.update(self.layer.named_arrays(prefix="ttt."))
 
     def logits_nodes(self, tape: Tape, tokens: np.ndarray):
-        leaves = {k: tape.leaf(v, name=k, param=True) for k, v in self.params.items()}
+        leaves = self._leaves(tape)
         x = ad.linear(tape.leaf(tokens), leaves["embed.w"], leaves["embed.b"])
         h = ad.layer_norm(x, leaves["ln.g"], leaves["ln.b"])
         x = ad.add(x, ttt_attention_nodes(h, leaves, self.layer, self.inner_cfg,
@@ -197,34 +213,80 @@ class RecallModel:
         q = ad.reshape(ad.rows(x, n - 1, n), (tokens.shape[0], x.value.shape[-1]))
         return ad.linear(q, leaves["head.w"], leaves["head.b"])
 
-    def loss_and_grads(self, tokens, labels):
-        tape = Tape()
-        logits = self.logits_nodes(tape, tokens)
-        loss = ad.cross_entropy(logits, labels)
-        grads = tape.backward(loss)
-        return float(loss.value), grads, logits.value
 
-    def predict(self, tokens) -> np.ndarray:
-        return self.logits_nodes(Tape(record=False), tokens).value.argmax(axis=-1)
+# ---------------------------------------------------------------------------
+# the task: the one place that tells cifar from recall
+
+@dataclass
+class Task:
+    model: M.Classifier
+    train_labels: np.ndarray
+    batch: Callable[[np.ndarray, int], np.ndarray]   # (train rows, epoch) -> model inputs
+    val_x: np.ndarray
+    val_y: np.ndarray
+    meta: dict                                       # checkpoint meta
+
+
+def _setup(rc: RunConfig) -> Task:
+    """The task's seeded model, training inputs, validation split and checkpoint meta."""
+    if rc.task == "recall":
+        data = D.synth_recall_task(rc.seed, rc.train_size + rc.val_size, rc.recall_seq,
+                                   rc.recall_width, n_keys=rc.recall_keys)
+        n = rc.train_size
+        model = RecallModel(rc, data.n_classes, np.random.default_rng(rc.seed + 1))
+        return Task(model, data.labels[:n], lambda idx, epoch: data.tokens[idx],
+                    data.tokens[n:], data.labels[n:], {"task": "recall"})
+    path = D.find_cifar10(rc.data_path or None)
+    synthetic = path is None
+    if synthetic:
+        path = os.path.join(rc.out_dir, "synthetic-cifar-bin")
+        if not os.path.exists(os.path.join(path, "data_batch_1.bin")):
+            D.write_synthetic_cifar(path, seed=rc.seed,
+                                    n_train=max(rc.train_size, 5000),
+                                    n_test=max(rc.val_size, 1000))
+    train = D.load_cifar10(path, "train")
+    test = D.load_cifar10(path, "test")
+
+    def normalize(x):
+        return ((x - D.CIFAR_MEAN) / D.CIFAR_STD).astype(np.float32)
+
+    def batch(idx, epoch):
+        if not rc.augment:
+            return normalize(train.images[idx])
+        return normalize(np.stack([D.augment(train.images[i], seed=(rc.seed, int(i), epoch))
+                                   for i in idx]))
+
+    return Task(Model(rc.model_config(), np.random.default_rng(rc.seed)),
+                train.labels[:rc.train_size], batch, normalize(test.images[:rc.val_size]),
+                test.labels[:rc.val_size], {"task": "cifar", "synthetic": synthetic})
 
 
 # ---------------------------------------------------------------------------
-# shared training loop
+# training
 
-def _accuracy(pred, labels) -> float:
-    return float((pred == labels).mean()) if len(labels) else 0.0
+def _accuracy(model: M.Classifier, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    if not len(y):
+        return 0.0
+    pred = np.concatenate([M.forward_classifier(model, x[lo:lo + batch_size]).argmax(axis=-1)
+                           for lo in range(0, len(y), batch_size)])
+    return float((pred == y).mean())
 
 
-def _fit(rc: RunConfig, step_fn, eval_fn, n_train: int, params: dict,
-         csv_path: str, target_acc: float | None = None):
-    """Epoch loop with AdamW + warmup/cosine; returns (rows, diverged, final_acc)."""
-    state = OptState.for_params(params)
+def _train(rc: RunConfig) -> tuple[Task, dict]:
+    """Train the task's model with AdamW + warmup/cosine, writing train.csv and the
+    checkpoint; returns (task, report)."""
+    os.makedirs(rc.out_dir, exist_ok=True)
+    task = _setup(rc)
+    model, labels = task.model, task.train_labels
+    n_train = len(labels)
+    state = OptState.for_params(model.params)
     steps_per_epoch = max(1, (n_train + rc.batch_size - 1) // rc.batch_size)
     total_steps = rc.epochs * steps_per_epoch
     warmup_steps = rc.warmup_epochs * steps_per_epoch
     rng = np.random.default_rng(rc.seed)
     rows, diverged, acc = [], False, 0.0
     step = 0
+    csv_path = os.path.join(rc.out_dir, "train.csv")
     with open(csv_path, "w", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(TRAIN_CSV_COLUMNS)
@@ -238,14 +300,16 @@ def _fit(rc: RunConfig, step_fn, eval_fn, n_train: int, params: dict,
                 with np.errstate(over="ignore", invalid="ignore"):
                     for lo in range(0, n_train, rc.batch_size):
                         idx = order[lo:lo + rc.batch_size]
-                        loss, grads = step_fn(idx, epoch)
+                        loss, grads, _ = model.loss_and_grads(task.batch(idx, epoch),
+                                                              labels[idx])
                         if not np.isfinite(loss):
                             raise DivergenceError(f"outer loss non-finite at epoch {epoch}")
                         lr = cosine_warmup_lr(step, total_steps, warmup_steps, rc.lr)
-                        adamw_step(params, grads, state, lr, weight_decay=rc.weight_decay)
+                        adamw_step(model.params, grads, state, lr,
+                                   weight_decay=rc.weight_decay)
                         losses.append(loss)
                         step += 1
-                acc = eval_fn()
+                acc = _accuracy(model, task.val_x, task.val_y, rc.batch_size)
             except DivergenceError:
                 diverged = True
                 writer.writerow([epoch, "nan", "nan", f"{time.perf_counter() - t0:.3f}"])
@@ -254,100 +318,20 @@ def _fit(rc: RunConfig, step_fn, eval_fn, n_train: int, params: dict,
             rows.append(row)
             writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.4f}", f"{row[3]:.3f}"])
             fp.flush()
-            if target_acc is not None and acc > target_acc and epoch + 1 >= 5:
+            if rc.early_stop_acc and acc > rc.early_stop_acc and epoch + 1 >= 5:
                 break
-    return rows, diverged, acc
+    ckpt = os.path.join(rc.out_dir, "checkpoint")
+    save_checkpoint(ckpt, model.params, meta=task.meta)
+    return task, {"csv": csv_path, "checkpoint": ckpt, "rows": rows, "diverged": diverged,
+                  "final_acc": acc, "synthetic_data": task.meta.get("synthetic", False)}
 
-
-# ---------------------------------------------------------------------------
-# train command
 
 def cmd_train(rc: RunConfig) -> dict:
-    os.makedirs(rc.out_dir, exist_ok=True)
-    if rc.task == "cifar":
-        report = _train_cifar(rc)
-    elif rc.task == "recall":
-        report = _train_recall(rc)
-    else:
-        raise ValueError(f"unknown task {rc.task!r}")
-    outputs = [report["csv"], report["checkpoint"]]
+    _, report = _train(rc)
     report["manifest"] = _write_manifest(
-        rc, outputs, "diverged" if report["diverged"] else "ok",
-        extra={"final_acc": report["final_acc"]})
+        rc, [report["csv"], report["checkpoint"]],
+        "diverged" if report["diverged"] else "ok", extra={"final_acc": report["final_acc"]})
     return report
-
-
-def _load_cifar_splits(rc: RunConfig):
-    path = D.find_cifar10(rc.data_path or None)
-    synthetic = path is None
-    if synthetic:
-        path = os.path.join(rc.out_dir, "synthetic-cifar-bin")
-        if not os.path.exists(os.path.join(path, "data_batch_1.bin")):
-            D.write_synthetic_cifar(path, seed=rc.seed,
-                                    n_train=max(rc.train_size, 5000),
-                                    n_test=max(rc.val_size, 1000))
-    train = D.load_cifar10(path, "train")
-    test = D.load_cifar10(path, "test")
-    return train, test, synthetic
-
-
-def _train_cifar(rc: RunConfig) -> dict:
-    train, test, synthetic = _load_cifar_splits(rc)
-    xs = train.images[:rc.train_size]
-    ys = train.labels[:rc.train_size]
-    xv = test.images[:rc.val_size]
-    yv = test.labels[:rc.val_size]
-    model = Model(rc.model_config(), np.random.default_rng(rc.seed))
-    norm_v = ((xv - D.CIFAR_MEAN) / D.CIFAR_STD).astype(np.float32)
-
-    def step_fn(idx, epoch):
-        if rc.augment:
-            batch = np.stack([D.augment(xs[i], seed=(rc.seed, int(i), epoch))
-                              for i in idx])
-        else:
-            batch = xs[idx]
-        batch = ((batch - D.CIFAR_MEAN) / D.CIFAR_STD).astype(np.float32)
-        loss, grads, _ = model.loss_and_grads(batch, ys[idx])
-        return loss, grads
-
-    def eval_fn():
-        preds = []
-        for lo in range(0, len(yv), rc.batch_size):
-            logits = M.forward_classifier(model, norm_v[lo:lo + rc.batch_size])
-            preds.append(logits.argmax(axis=-1))
-        return _accuracy(np.concatenate(preds) if preds else np.array([]), yv)
-
-    csv_path = os.path.join(rc.out_dir, "train.csv")
-    rows, diverged, acc = _fit(rc, step_fn, eval_fn, len(ys), model.params, csv_path,
-                               target_acc=rc.early_stop_acc or None)
-    ckpt = os.path.join(rc.out_dir, "checkpoint")
-    save_checkpoint(ckpt, model.params, meta={"task": "cifar", "synthetic": synthetic})
-    return {"csv": csv_path, "checkpoint": ckpt, "rows": rows, "diverged": diverged,
-            "final_acc": acc, "synthetic_data": synthetic}
-
-
-def _train_recall(rc: RunConfig) -> dict:
-    task = D.synth_recall_task(rc.seed, rc.train_size + rc.val_size, rc.recall_seq,
-                               rc.recall_width, n_keys=rc.recall_keys)
-    xs, ys = task.tokens[:rc.train_size], task.labels[:rc.train_size]
-    xv, yv = task.tokens[rc.train_size:], task.labels[rc.train_size:]
-    model = RecallModel(rc, task.n_classes, np.random.default_rng(rc.seed + 1))
-
-    def step_fn(idx, epoch):
-        loss, grads, _ = model.loss_and_grads(xs[idx], ys[idx])
-        return loss, grads
-
-    def eval_fn():
-        preds = [model.predict(xv[lo:lo + rc.batch_size])
-                 for lo in range(0, len(yv), rc.batch_size)]
-        return _accuracy(np.concatenate(preds) if preds else np.array([]), yv)
-
-    csv_path = os.path.join(rc.out_dir, "train.csv")
-    rows, diverged, acc = _fit(rc, step_fn, eval_fn, len(ys), model.params, csv_path)
-    ckpt = os.path.join(rc.out_dir, "checkpoint")
-    save_checkpoint(ckpt, model.params, meta={"task": "recall"})
-    return {"csv": csv_path, "checkpoint": ckpt, "rows": rows, "diverged": diverged,
-            "final_acc": acc}
 
 
 # ---------------------------------------------------------------------------
@@ -365,75 +349,52 @@ def _cell_name(overrides: dict) -> str:
     return ",".join(f"{k.removeprefix('inner_')}={v}" for k, v in overrides.items())
 
 
-def ablate_cell(args: tuple) -> dict:
-    """One grid cell: a desk-scale train (recall task by default, cifar opt-in)."""
-    rc_doc, overrides, seed = args
-    rc = RunConfig(**rc_doc)
-    for key, value in overrides.items():
-        setattr(rc, key, value)
-    rc.seed = seed
+def _cell_config(rc_doc: dict, overrides: dict, seed: int) -> RunConfig:
+    """The validated config of one grid cell; an axis that is no RunConfig field is refused."""
+    rc = RunConfig.from_dict({**rc_doc, **overrides, "seed": seed})
     rc.out_dir = os.path.join(rc.out_dir, "cells",
                               _cell_name(overrides).replace("=", "_") + f"_s{seed}")
-    os.makedirs(rc.out_dir, exist_ok=True)
-    mc = rc.model_config()
-    n_tok, grid = (mc.tokens, mc.grid) if rc.task == "cifar" else (rc.recall_seq, None)
-    archs = (tuple(rc.head_archs) if rc.head_archs else
-             (mc.head_archs if rc.task == "cifar" else ("gated_fc",) * rc.heads))
-    layer_fl = ttt_layer_flops(n_tok, rc.dim, rc.heads, archs, rc.inner_config(), grid)
-    try:
-        if rc.task == "cifar":
-            report = _train_cifar(rc)
-        else:
-            report = _train_recall(rc)
-        status = "*" if report["diverged"] else ""
-        metric = report["final_acc"]
-    except DivergenceError:
-        status, metric = "*", float("nan")
-    throughput, n_params = _cell_throughput(rc)
+    return rc
+
+
+def ablate_cell(args: tuple) -> dict:
+    """One grid cell: a desk-scale train of the configured task, then its trained model's
+    layer FLOPs and forward throughput."""
+    rc_doc, overrides, seed = args
+    rc = _cell_config(rc_doc, overrides, seed)
+    task, report = _train(rc)
+    model = task.model
+    layer_fl = ttt_layer_flops(model.tokens, rc.dim, rc.heads, model.head_archs,
+                               rc.inner_config(), model.grid)
+    status = "*" if report["diverged"] else ""
+    throughput = _cell_throughput(model, task.val_x[:rc.batch_size])
     if throughput is None:
         throughput, status = "nan", "*"
     return {"config": _cell_name(overrides) + f",seed={seed}",
-            "params": n_params, "flops": layer_fl["total_executed"],
-            "throughput": throughput,
-            "metric": round(metric, 4) if np.isfinite(metric) else "nan",
+            "params": model.n_params(), "flops": layer_fl["total_executed"],
+            "throughput": throughput, "metric": round(report["final_acc"], 4),
             "status": status}
 
 
-def _cell_throughput(rc: RunConfig):
-    """Tokens/s of a fresh model's forward on one batch: one warm-up run, then
-    the median of 3 timed runs (None if it diverges)."""
-    if rc.task == "cifar":
-        model = Model(rc.model_config(), np.random.default_rng(0))
-        batch = np.random.default_rng(rc.seed + 7).random(
-            (min(rc.batch_size, 16), rc.image_size, rc.image_size, 3)).astype(np.float32)
-        n_params = model.n_params()
-        tokens = batch.shape[0] * rc.model_config().tokens
-
-        def run():
-            M.forward_classifier(model, batch)
-    else:
-        model = RecallModel(rc, 10, np.random.default_rng(0))
-        task = D.synth_recall_task(rc.seed + 7, rc.batch_size, rc.recall_seq,
-                                   rc.recall_width)
-        n_params = sum(int(p.size) for p in model.params.values())
-        tokens = task.tokens.shape[0] * task.tokens.shape[1]
-
-        def run():
-            model.predict(task.tokens)
+def _cell_throughput(model: M.Classifier, x: np.ndarray) -> float | None:
+    """Tokens/s of the model's forward on one batch: one warm-up run, then the
+    median of 3 timed runs (None if it diverges)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            run()
+            M.forward_classifier(model, x)
             times = []
             for _ in range(3):
                 t0 = time.perf_counter()
-                run()
+                M.forward_classifier(model, x)
                 times.append(time.perf_counter() - t0)
-        return round(tokens / float(np.median(times)), 1), n_params
     except DivergenceError:
-        return None, n_params
+        return None
+    return round(len(x) * model.tokens / float(np.median(times)), 1)
 
 
 def cmd_ablate(rc: RunConfig, grid: dict | None = None) -> dict:
+    """Train every cell of the grid's cross product; every cell's config is validated
+    before the first one runs."""
     grid = dict(grid or DEFAULT_GRID)
     seeds = grid.pop("seeds", [rc.seed])
     axes = sorted(grid)
@@ -441,11 +402,11 @@ def cmd_ablate(rc: RunConfig, grid: dict | None = None) -> dict:
     for axis in axes:
         combos = [{**c, axis: v} for c in combos for v in grid[axis]]
     jobs = [(asdict(rc), combo, seed) for combo in combos for seed in seeds]
-    rows = []
+    for job in jobs:
+        _cell_config(*job)
     if rc.threads > 1:
         with ProcessPoolExecutor(max_workers=rc.threads) as pool:
-            for row in pool.map(ablate_cell, jobs):
-                rows.append(row)
+            rows = list(pool.map(ablate_cell, jobs))
     else:
         rows = [ablate_cell(job) for job in jobs]
     os.makedirs(rc.out_dir, exist_ok=True)

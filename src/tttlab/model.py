@@ -12,6 +12,7 @@ import copy
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,8 @@ class ModelConfig:
         if self.dim % self.heads != 0:
             raise T.DimensionError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size != 0:
-            raise T.DimensionError("patch size must divide image size")
+            raise T.DimensionError(f"patch_size {self.patch_size} does not divide "
+                                   f"image_size {self.image_size}")
         if not self.head_archs:
             self.head_archs = default_head_archs(self.heads)
         if isinstance(self.head_archs, list):
@@ -62,17 +64,35 @@ class ModelConfig:
         return s * s
 
 
-def micro_config(**overrides) -> ModelConfig:
-    """The desk-scale default: dim 64, 4 heads, 4 blocks, patch 4."""
-    return ModelConfig(**overrides)
+class Classifier:
+    """A parameter store with a logits builder; arrays are updated in place.
+
+    Subclasses set `params` and their TTT layers' `head_archs`, `tokens` per
+    sample and `grid` (or None), and define `logits_nodes(tape, x)`.
+    """
+
+    def n_params(self) -> int:
+        return sum(int(p.size) for p in self.params.values())
+
+    def _leaves(self, tape: Tape) -> dict[str, Node]:
+        return {name: tape.leaf(arr, name=name, param=True)
+                for name, arr in self.params.items()}
+
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
+        tape = Tape()
+        logits = self.logits_nodes(tape, x)
+        loss = ad.cross_entropy(logits, labels)
+        grads = tape.backward(loss)
+        return float(loss.value), grads, logits.value
 
 
-class Model:
-    """Parameter store plus forward builders; arrays are updated in place."""
+class Model(Classifier):
+    """The micro vision classifier."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
+        self.head_archs, self.tokens, self.grid = cfg.head_archs, cfg.tokens, cfg.grid
         self.layers: list[TTTLayerParams] = []
         self.params: dict[str, np.ndarray] = {}
         c, p = cfg.dim, cfg.patch_size
@@ -101,16 +121,7 @@ class Model:
         self.params["head.w"] = normal((c, cfg.num_classes))
         self.params["head.b"] = np.zeros(cfg.num_classes, dtype=dtype)
 
-    def n_params(self) -> int:
-        return sum(int(p.size) for p in self.params.values())
-
-    # -- tape builders ------------------------------------------------------
-
-    def _leaves(self, tape: Tape) -> dict[str, Node]:
-        return {name: tape.leaf(arr, name=name, param=True)
-                for name, arr in self.params.items()}
-
-    def forward_nodes(self, tape: Tape, images: np.ndarray) -> Node:
+    def logits_nodes(self, tape: Tape, images: np.ndarray) -> Node:
         cfg = self.cfg
         leaves = self._leaves(tape)
         tok = unfold_patches(images.astype(self.dtype), cfg.patch_size)
@@ -119,13 +130,6 @@ class Model:
             x = ttt_block_nodes(x, leaves, self.layers[i], cfg, prefix=f"b{i}.")
         pooled = ad.mean_tokens(x)
         return ad.linear(pooled, leaves["head.w"], leaves["head.b"])
-
-    def loss_and_grads(self, images: np.ndarray, labels: np.ndarray):
-        tape = Tape()
-        logits = self.forward_nodes(tape, images)
-        loss = ad.cross_entropy(logits, labels)
-        grads = tape.backward(loss)
-        return float(loss.value), grads, logits.value
 
 
 def ttt_block_nodes(x: Node, leaves: dict[str, Node], layer: TTTLayerParams,
@@ -144,9 +148,9 @@ def ttt_block_nodes(x: Node, leaves: dict[str, Node], layer: TTTLayerParams,
     return ad.add(x, m)
 
 
-def forward_classifier(model: Model, images: np.ndarray) -> np.ndarray:
-    """Logits for a [b, H, W, 3] image batch."""
-    return model.forward_nodes(Tape(record=False), images).value
+def forward_classifier(model: Classifier, x: np.ndarray) -> np.ndarray:
+    """Logits for a batch of inputs (images for `Model`), recording no tape."""
+    return model.logits_nodes(Tape(record=False), x).value
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +320,35 @@ def flops_estimate(cfg: ModelConfig) -> dict:
 # ---------------------------------------------------------------------------
 # checkpoints: JSON name->offset index plus tensor container
 
-def save_checkpoint(dirpath: str, params: dict[str, np.ndarray], meta: dict | None = None):
-    """Write both files under temporary names, then move each into place.
-
-    A save that fails partway leaves the previous checkpoint as it was.
-    """
-    os.makedirs(dirpath, exist_ok=True)
-    index = {}
-    paths = [os.path.join(dirpath, name) for name in ("checkpoint.bin", "checkpoint.json")]
+@contextmanager
+def replacing(*paths: str):
+    """Yield a temporary name per path and move each into place when the block finishes;
+    a block that fails partway leaves every previous file as it was."""
     tmps = [p + ".tmp" for p in paths]
     try:
-        with open(tmps[0], "wb") as fp:
-            for name in sorted(params):
-                index[name] = T.write_tensor(fp, params[name])
-        doc = {"index": index}
-        if meta:
-            doc["meta"] = meta
-        with open(tmps[1], "w") as fp:
-            json.dump(doc, fp, indent=1, sort_keys=True)
+        yield tmps
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     finally:
         for tmp in tmps:
             if os.path.exists(tmp):
                 os.remove(tmp)
+
+
+def save_checkpoint(dirpath: str, params: dict[str, np.ndarray], meta: dict | None = None):
+    """Write checkpoint.bin and checkpoint.json; a failed save keeps the previous pair."""
+    os.makedirs(dirpath, exist_ok=True)
+    index = {}
+    with replacing(os.path.join(dirpath, "checkpoint.bin"),
+                   os.path.join(dirpath, "checkpoint.json")) as (bin_tmp, json_tmp):
+        with open(bin_tmp, "wb") as fp:
+            for name in sorted(params):
+                index[name] = T.write_tensor(fp, params[name])
+        doc = {"index": index}
+        if meta:
+            doc["meta"] = meta
+        with open(json_tmp, "w") as fp:
+            json.dump(doc, fp, indent=1, sort_keys=True)
 
 
 def load_checkpoint(dirpath: str) -> dict[str, np.ndarray]:

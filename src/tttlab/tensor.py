@@ -39,10 +39,6 @@ def set_debug(enabled: bool) -> None:
     _debug = enabled
 
 
-def debug_enabled() -> bool:
-    return _debug
-
-
 def _check(out: np.ndarray, op: str) -> np.ndarray:
     if _debug and not np.isfinite(out).all():
         raise NonFiniteError(f"{op} produced non-finite values")
@@ -159,22 +155,6 @@ def silu(x: np.ndarray) -> np.ndarray:
     out *= x
     _tick(4 * x.size)
     return _check(out, "silu")
-
-
-def silu_prime(x: np.ndarray) -> np.ndarray:
-    """d/dx SiLU(x) = s(x) * (1 + x * (1 - s(x)))."""
-    s = sigmoid(x)
-    out = s * (1.0 + x * (1.0 - s))
-    _tick(3 * x.size)
-    return _check(out, "silu_prime")
-
-
-def silu_second(x: np.ndarray) -> np.ndarray:
-    """d2/dx2 SiLU(x) = s(1-s) * (2 + x(1-2s)); backward rule for silu_prime."""
-    s = sigmoid(x)
-    out = s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
-    _tick(5 * x.size)
-    return _check(out, "silu_second")
 
 
 def add(a, b):

@@ -333,14 +333,6 @@ class TestLayerGradientFlow:
         assert gradcheck(f, p) < 1e-6
 
 
-class TestTapeStructure:
-    def test_max_node_bytes(self):
-        t = Tape()
-        x = t.leaf(np.zeros((64, 4)))
-        ad.matmul(ad.transpose(x), x)
-        assert t.max_node_bytes() == 64 * 4 * 8
-
-
 # ---------------------------------------------------------------------------
 # backward spends the graph; value-only helpers release their tape
 
@@ -401,7 +393,7 @@ def _gradcheck():
 
 def _recording_forward_dropped():
     model, images = _tiny_classifier()
-    return lambda: model.forward_nodes(Tape(), images).value
+    return lambda: model.logits_nodes(Tape(), images).value
 
 
 def _recall_eval_recording():
@@ -674,9 +666,9 @@ def _helper_recall_predict(dtype):
     task = D.synth_recall_task(0, 6, rc.recall_seq, rc.recall_width, n_keys=rc.recall_keys)
     model = RecallModel(rc, task.n_classes, np.random.default_rng(2), dtype=dtype)
     tokens = task.tokens.astype(dtype)
-    # predict returns the argmax; the logits under it are compared as well
-    return lambda: [model.predict(tokens),
-                    model.logits_nodes(harness_mod.Tape(record=False), tokens).value]
+    # the predictions, and the logits under them
+    return lambda: [forward_classifier(model, tokens).argmax(axis=-1),
+                    forward_classifier(model, tokens)]
 
 
 def _helper_inner_update_dynamic(dtype):

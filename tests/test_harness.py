@@ -8,6 +8,7 @@ import pytest
 
 import tttlab.harness as H
 import tttlab.inner as inner_mod
+import tttlab.model as M
 from tttlab import allocator
 from tttlab import autodiff as ad
 from tttlab.harness import (ABLATE_CSV_COLUMNS, BENCH_CSV_COLUMNS,
@@ -29,6 +30,16 @@ def small_recall_rc(out, **kw):
 def read_csv(path):
     with open(path) as fp:
         return list(csv.reader(fp))
+
+
+def read_json(path):
+    with open(path) as fp:
+        return json.load(fp)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fp:
+        return fp.read()
 
 
 class TestRunConfig:
@@ -87,6 +98,21 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             RunConfig.from_json(json.dumps({name: 0}))
 
+    @pytest.mark.parametrize("doc, match", [
+        ({"recall_seq": 1}, r"recall_seq 1 must be in \[2, recall_keys \+ 1 = 33\]"),
+        ({"recall_seq": 40, "recall_keys": 32}, r"recall_seq 40 must be in \[2, .* = 33\]"),
+        ({"task": "cifar", "image_size": 30}, "patch_size 4 does not divide image_size 30"),
+        ({"inner_parts": 18}, "inner_parts 18 exceeds the 17 tokens of a recall sample"),
+        ({"task": "cifar", "inner_parts": 65}, "inner_parts 65 exceeds the 64 tokens"),
+    ])
+    def test_config_no_run_could_use_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_json(json.dumps(doc))
+
+    def test_task_shape_limits_accepted(self):
+        RunConfig.from_json('{"recall_seq": 33, "recall_keys": 32, "inner_parts": 33}')
+        RunConfig.from_json('{"task": "cifar", "inner_parts": 64, "recall_seq": 1}')
+
 
 class TestCmdTrain:
     def test_deterministic_across_runs(self, tmp_path):
@@ -99,8 +125,8 @@ class TestCmdTrain:
         assert rows_a[0] == list(TRAIN_CSV_COLUMNS)
         for ra, rb in zip(rows_a, rows_b):
             assert ra[:3] == rb[:3]  # wall_s may differ
-        bin_a = open(os.path.join(reports[0]["checkpoint"], "checkpoint.bin"), "rb").read()
-        bin_b = open(os.path.join(reports[1]["checkpoint"], "checkpoint.bin"), "rb").read()
+        bin_a = read_bytes(os.path.join(reports[0]["checkpoint"], "checkpoint.bin"))
+        bin_b = read_bytes(os.path.join(reports[1]["checkpoint"], "checkpoint.bin"))
         assert bin_a == bin_b
 
     def test_zero_epochs_header_only_and_init_checkpoint(self, tmp_path):
@@ -122,7 +148,7 @@ class TestCmdTrain:
     def test_manifest_written(self, tmp_path):
         rc = small_recall_rc(str(tmp_path), epochs=1)
         report = cmd_train(rc)
-        doc = json.load(open(report["manifest"]))
+        doc = read_json(report["manifest"])
         assert doc["status"] == "ok"
         assert doc["config"]["seed"] == 0
         assert "fingerprint" in doc and "outputs" in doc
@@ -135,8 +161,29 @@ class TestCmdTrain:
         rows = read_csv(report["csv"])
         assert rows[0] == list(TRAIN_CSV_COLUMNS)
         assert rows[-1][1] == "nan"
-        doc = json.load(open(report["manifest"]))
+        doc = read_json(report["manifest"])
         assert doc["status"] == "diverged"
+
+    def test_recall_stops_early_once_target_met(self, tmp_path):
+        # the target is below chance, so training stops at the earliest allowed epoch, the 5th
+        rc = small_recall_rc(str(tmp_path), epochs=8, early_stop_acc=0.01)
+        report = cmd_train(rc)
+        assert len(report["rows"]) == 5 and report["final_acc"] > 0.01
+        assert len(read_csv(report["csv"])) == 1 + 5
+
+    def test_failed_manifest_write_keeps_previous(self, tmp_path, monkeypatch):
+        rc = small_recall_rc(str(tmp_path))
+        path = H._write_manifest(rc, ["a.csv"], "ok")
+        before = read_bytes(path)
+
+        def failing_dump(doc, fp, **kwargs):
+            fp.write('{"config": ')
+            raise OSError("no space left on device")
+        monkeypatch.setattr(H.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="no space"):
+            H._write_manifest(rc, ["b.csv"], "diverged")
+        assert read_bytes(path) == before
+        assert os.listdir(tmp_path) == ["manifest.json"]
 
 
 class TestCmdAblate:
@@ -168,16 +215,36 @@ class TestCmdAblate:
 
     def test_cell_throughput_is_warm_median(self, monkeypatch):
         # a fake clock: each forward takes the next duration; the first is the warm-up
-        rc = small_recall_rc("unused", batch_size=4)
+        rc = small_recall_rc("unused")
+        model = RecallModel(rc, 10, np.random.default_rng(0))
         clock, durations = [0.0], iter([100.0, 1.0, 3.0, 2.0])
 
-        def predict(self, tokens):
+        def forward(m, x):
+            assert m is model and x.shape[0] == 4
             clock[0] += next(durations)
-        monkeypatch.setattr(RecallModel, "predict", predict)
+        monkeypatch.setattr(M, "forward_classifier", forward)
         monkeypatch.setattr(H, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-        throughput, _ = H._cell_throughput(rc)
+        throughput = H._cell_throughput(model, np.zeros((4, rc.recall_seq, 16)))
         assert throughput == 4 * rc.recall_seq / 2.0
         assert next(durations, None) is None
+
+    def test_recall_cell_with_more_pairs_than_default_keys(self, tmp_path):
+        rc = small_recall_rc(str(tmp_path), epochs=1, train_size=64, val_size=32,
+                             recall_seq=40, recall_keys=64)
+        row = cmd_ablate(rc, {"inner_lr": [1.0], "seeds": [0]})["rows"][0]
+        assert row["status"] == "" and row["throughput"] > 0
+
+    def test_unknown_axis_refused_before_any_cell(self, tmp_path):
+        rc = small_recall_rc(str(tmp_path), epochs=1, train_size=64, val_size=32)
+        with pytest.raises(ValueError, match="inner_los"):
+            cmd_ablate(rc, {"inner_los": ["mae"], "seeds": [0]})
+        assert not (tmp_path / "cells").exists()
+
+    def test_invalid_cell_refused_before_any_cell(self, tmp_path):
+        rc = small_recall_rc(str(tmp_path), epochs=1, train_size=64, val_size=32)
+        with pytest.raises(ValueError, match="inner_parts 10 exceeds"):
+            cmd_ablate(rc, {"inner_parts": [1, 10], "seeds": [0]})
+        assert not (tmp_path / "cells").exists()
 
 
 class TestCmdBench:
@@ -265,6 +332,26 @@ class TestCli:
         cfg_path.write_text(rc.to_json())
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "from_cfg" / "train.csv").exists()
+
+    @pytest.mark.parametrize("flag, doc, threads", [
+        ([], None, min(8, os.cpu_count() or 1)),
+        ([], {"threads": 3}, 3),
+        (["--threads", "2"], {"threads": 3}, 2),
+    ])
+    def test_gradcheck_threads_default(self, tmp_path, monkeypatch, flag, doc, threads):
+        # the cpu-count default applies only when neither the flag nor the file sets threads
+        import tttlab.cli as cli
+        seen = []
+
+        def fake_gradcheck(rc, tol):
+            seen.append(rc.threads)
+            return {"cells": [], "failures": []}
+        monkeypatch.setattr(cli, "cmd_gradcheck", fake_gradcheck)
+        argv = ["gradcheck", *flag]
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert cli.main(argv) == 0 and seen == [threads]
 
     def test_bench_cli(self, tmp_path):
         from tttlab.cli import main

@@ -11,7 +11,7 @@ from tttlab.inner import ARCH_NAMES, LOSSES, InnerTrainConfig
 from tttlab.layer import TTTLayerParams, softmax_attention, ttt_attention
 from tttlab.model import (Model, ModelConfig, OptState, adamw_step,
                           cosine_warmup_lr, flops_estimate, fold_patches,
-                          forward_classifier, load_checkpoint, micro_config,
+                          forward_classifier, load_checkpoint,
                           patch_embed, save_checkpoint, ttt_block_nodes,
                           ttt_layer_flops, unfold_patches)
 
@@ -44,7 +44,7 @@ class TestPatchEmbed:
 
 class TestBlock:
     def test_output_shape(self):
-        cfg = micro_config()
+        cfg = ModelConfig()
         model = Model(cfg, np.random.default_rng(0))
         x = RNG.random((2, 32, 32, 3)).astype(np.float32)
         assert forward_classifier(model, x).shape == (2, 10)
@@ -82,7 +82,7 @@ class TestBlock:
         assert err < 1e-4
 
     def test_deterministic_batch_rows(self):
-        cfg = micro_config(depth=2)
+        cfg = ModelConfig(depth=2)
         model = Model(cfg, np.random.default_rng(4))
         img = RNG.random((1, 32, 32, 3)).astype(np.float32)
         batch = np.concatenate([img, img])
@@ -277,7 +277,7 @@ class TestFlops:
         assert est["total_executed"] == fc.total
 
     def test_estimate_matches_instrumented_counter(self):
-        cfg = micro_config()
+        cfg = ModelConfig()
         model = Model(cfg, np.random.default_rng(6))
         img = RNG.random((1, 32, 32, 3)).astype(np.float32)
         with T.count_flops() as fc:
@@ -287,7 +287,7 @@ class TestFlops:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        cfg = micro_config(depth=1)
+        cfg = ModelConfig(depth=1)
         model = Model(cfg, np.random.default_rng(7))
         save_checkpoint(str(tmp_path / "ck"), model.params, meta={"note": "t"})
         back = load_checkpoint(str(tmp_path / "ck"))
@@ -297,7 +297,7 @@ class TestCheckpoint:
 
     def test_manifest_is_name_to_offset(self, tmp_path):
         import json
-        model = Model(micro_config(depth=1), np.random.default_rng(8))
+        model = Model(ModelConfig(depth=1), np.random.default_rng(8))
         save_checkpoint(str(tmp_path / "ck"), model.params)
         doc = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
         assert all(isinstance(v, int) for v in doc["index"].values())
@@ -305,7 +305,7 @@ class TestCheckpoint:
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck")
-        model = Model(micro_config(depth=1), np.random.default_rng(8))
+        model = Model(ModelConfig(depth=1), np.random.default_rng(8))
         save_checkpoint(path, model.params, meta={"step": 1})
         before = {name: (tmp_path / "ck" / name).read_bytes()
                   for name in ("checkpoint.bin", "checkpoint.json")}
