@@ -122,6 +122,18 @@ class Tape:
         return node
 
     def push(self, value, inputs, vjp, op) -> Node:
+        """Record one op under its name.
+
+        In debug mode the value is checked for finiteness as `op`, and a
+        recording tape wraps the vjp so that every cotangent it computes is
+        checked as "`op` vjp". Debug mode is read here, when the op is
+        recorded: an op recorded with it off keeps its own vjp and is never
+        checked.
+        """
+        if T._debug:
+            T._check(value, op)
+            if self.record:
+                vjp = _checked_vjp(vjp, f"{op} vjp")
         if not self.record:
             return Node(self._ref, None, value, (), None, False, op)
         requires = any(n.requires for n in inputs)
@@ -222,13 +234,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _checked(op: str, *cots) -> tuple:
-    """Debug-check each cotangent a vjp computed; None marks an input that needs none."""
-    if T._debug:
+def _checked_vjp(vjp, op: str):
+    """vjp with each cotangent it computes checked as `op` (None, for an input that
+    needs none, is skipped; a RowSlice is checked through its rows)."""
+    def checked(g):
+        cots = vjp(g)
         for c in cots:
             if c is not None:
-                T._check(c, op)
-    return cots
+                T._check(c.g if type(c) is RowSlice else c, op)
+        return cots
+
+    return checked
 
 
 def _coerce(a, like: Node) -> Node:
@@ -242,24 +258,26 @@ def _coerce(a, like: Node) -> Node:
 
 def add(a: Node, b) -> Node:
     b = _coerce(b, a)
-    out = T.add(a.value, b.value)
+    T._shape_compatible(a.value, b.value, "add")
+    T._tick(max(np.size(a.value), np.size(b.value)))
+    out = np.add(a.value, b.value)
 
     def vjp(g):
-        return _checked("add vjp",
-                        _unbroadcast(g, a.value.shape) if a.requires else None,
-                        _unbroadcast(g, b.value.shape) if b.requires else None)
+        return (_unbroadcast(g, a.value.shape) if a.requires else None,
+                _unbroadcast(g, b.value.shape) if b.requires else None)
 
     return a.tape.push(out, (a, b), vjp, "add")
 
 
 def sub(a: Node, b) -> Node:
     b = _coerce(b, a)
-    out = T.sub(a.value, b.value)
+    T._shape_compatible(a.value, b.value, "sub")
+    T._tick(max(np.size(a.value), np.size(b.value)))
+    out = np.subtract(a.value, b.value)
 
     def vjp(g):
-        return _checked("sub vjp",
-                        _unbroadcast(g, a.value.shape) if a.requires else None,
-                        _unbroadcast(-g, b.value.shape) if b.requires else None)
+        return (_unbroadcast(g, a.value.shape) if a.requires else None,
+                _unbroadcast(-g, b.value.shape) if b.requires else None)
 
     return a.tape.push(out, (a, b), vjp, "sub")
 
@@ -267,21 +285,23 @@ def sub(a: Node, b) -> Node:
 def mul(a: Node, b) -> Node:
     b = _coerce(b, a)
     av, bv = a.value, b.value
-    out = T.mul(av, bv)
+    T._shape_compatible(av, bv, "mul")
+    T._tick(max(np.size(av), np.size(bv)))
+    out = np.multiply(av, bv)
 
     def vjp(g):
-        return _checked("mul vjp",
-                        _unbroadcast(g * bv, av.shape) if a.requires else None,
-                        _unbroadcast(g * av, bv.shape) if b.requires else None)
+        return (_unbroadcast(g * bv, av.shape) if a.requires else None,
+                _unbroadcast(g * av, bv.shape) if b.requires else None)
 
     return a.tape.push(out, (a, b), vjp, "mul")
 
 
 def scale(a: Node, c: float) -> Node:
-    out = T.scale(a.value, c)
+    T._tick(np.size(a.value))
+    out = a.value * c
 
     def vjp(g):
-        return (T._check(g * c, "scale vjp"),)
+        return (g * c,)
 
     return a.tape.push(out, (a,), vjp, "scale")
 
@@ -301,13 +321,11 @@ def matmul(a: Node, b: Node) -> Node:
 
     def vjp(g):
         if bv.ndim == 2:
-            return _checked("matmul vjp", *_shared_weight_vjp(g, a, b))
-        return _checked(
-            "matmul vjp",
-            _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
-            if a.requires else None,
-            _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
-            if b.requires else None)
+            return _shared_weight_vjp(g, a, b)
+        return (_unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
+                if a.requires else None,
+                _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
+                if b.requires else None)
 
     return a.tape.push(out, (a, b), vjp, "matmul")
 
@@ -319,7 +337,7 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     def vjp(g):
         dx, dw = _shared_weight_vjp(g, x, w)
         db = T.fold_rows(g).sum(axis=0) if b.requires else None
-        return _checked("linear vjp", dx, dw, db)
+        return dx, dw, db
 
     return x.tape.push(out, (x, w, b), vjp, "linear")
 
@@ -331,17 +349,17 @@ def transpose(a: Node) -> Node:
     out = T.transpose(a.value)
 
     def vjp(g):
-        return (T._check(np.swapaxes(g, -1, -2), "transpose vjp"),)
+        return (np.swapaxes(g, -1, -2),)
 
     return a.tape.push(out, (a,), vjp, "transpose")
 
 
 def reshape(a: Node, shape) -> Node:
     src = a.value.shape
-    out = T.reshape(a.value, shape)
+    out = np.ascontiguousarray(a.value).reshape(shape)
 
     def vjp(g):
-        return (T._check(g.reshape(src), "reshape vjp"),)
+        return (g.reshape(src),)
 
     return a.tape.push(out, (a,), vjp, "reshape")
 
@@ -351,7 +369,7 @@ def rows(a: Node, lo: int, hi: int) -> Node:
     out = np.ascontiguousarray(a.value[..., lo:hi, :])
 
     def vjp(g):
-        return (RowSlice(T._check(g, "rows vjp"), lo, hi),)
+        return (RowSlice(g, lo, hi),)
 
     return a.tape.push(out, (a,), vjp, "rows")
 
@@ -363,7 +381,7 @@ def pad_rows(a: Node, n: int, lo: int, hi: int) -> Node:
     out[..., lo:hi, :] = a.value
 
     def vjp(g):
-        return (T._check(np.ascontiguousarray(g[..., lo:hi, :]), "pad_rows vjp"),)
+        return (np.ascontiguousarray(g[..., lo:hi, :]),)
 
     return a.tape.push(out, (a,), vjp, "pad_rows")
 
@@ -375,9 +393,8 @@ def concat_last(parts: list[Node]) -> Node:
     offsets = np.cumsum(widths)[:-1]
 
     def vjp(g):
-        return _checked("concat_last vjp",
-                        *(np.ascontiguousarray(s) if p.requires else None
-                          for p, s in zip(parts, np.split(g, offsets, axis=-1))))
+        return tuple(np.ascontiguousarray(s) if p.requires else None
+                     for p, s in zip(parts, np.split(g, offsets, axis=-1)))
 
     return parts[0].tape.push(out, tuple(parts), vjp, "concat_last")
 
@@ -386,35 +403,33 @@ def concat_last(parts: list[Node]) -> Node:
 # reductions
 
 def sum_all(a: Node) -> Node:
-    out = T._check(np.asarray(a.value.sum()), "sum_all")
+    out = np.asarray(a.value.sum())
     T._tick(a.value.size)
 
     def vjp(g):
-        return (T._check(np.full(a.value.shape, g, dtype=a.value.dtype), "sum_all vjp"),)
+        return (np.full(a.value.shape, g, dtype=a.value.dtype),)
 
     return a.tape.push(out, (a,), vjp, "sum_all")
 
 
 def sum_last(a: Node) -> Node:
     """Sum over the last axis."""
-    out = T._check(a.value.sum(axis=-1), "sum_last")
+    out = a.value.sum(axis=-1)
     T._tick(a.value.size)
 
     def vjp(g):
-        return (T._check(np.broadcast_to(g[..., None], a.value.shape).astype(a.value.dtype),
-                         "sum_last vjp"),)
+        return (np.broadcast_to(g[..., None], a.value.shape).astype(a.value.dtype),)
 
     return a.tape.push(out, (a,), vjp, "sum_last")
 
 
 def sum_last2(a: Node) -> Node:
     """Sum over the last two axes (per-sequence reduction of [.., B, d])."""
-    out = T._check(a.value.sum(axis=(-2, -1)), "sum_last2")
+    out = a.value.sum(axis=(-2, -1))
     T._tick(a.value.size)
 
     def vjp(g):
-        return (T._check(np.broadcast_to(g[..., None, None], a.value.shape)
-                         .astype(a.value.dtype), "sum_last2 vjp"),)
+        return (np.broadcast_to(g[..., None, None], a.value.shape).astype(a.value.dtype),)
 
     return a.tape.push(out, (a,), vjp, "sum_last2")
 
@@ -424,13 +439,12 @@ def matscale(m: Node, s: Node) -> Node:
     mv, sv = m.value, s.value
     if sv.shape != mv.shape[:-2]:
         raise ContractError(f"matscale rate shape {sv.shape} != {mv.shape[:-2]}")
-    out = T._check(mv * sv[..., None, None], "matscale")
+    out = mv * sv[..., None, None]
     T._tick(mv.size)
 
     def vjp(g):
-        return _checked("matscale vjp",
-                        g * sv[..., None, None] if m.requires else None,
-                        (g * mv).sum(axis=(-2, -1)) if s.requires else None)
+        return (g * sv[..., None, None] if m.requires else None,
+                (g * mv).sum(axis=(-2, -1)) if s.requires else None)
 
     return m.tape.push(out, (m, s), vjp, "matscale")
 
@@ -438,12 +452,11 @@ def matscale(m: Node, s: Node) -> Node:
 def mean_tokens(a: Node) -> Node:
     """Mean over the token axis (-2): global average pooling."""
     n = a.value.shape[-2]
-    out = T._check(a.value.mean(axis=-2), "mean_tokens")
+    out = a.value.mean(axis=-2)
     T._tick(a.value.size)
 
     def vjp(g):
-        return (T._check(np.broadcast_to(g[..., None, :] / n, a.value.shape)
-                         .astype(a.value.dtype), "mean_tokens vjp"),)
+        return (np.broadcast_to(g[..., None, :] / n, a.value.shape).astype(a.value.dtype),)
 
     return a.tape.push(out, (a,), vjp, "mean_tokens")
 
@@ -454,7 +467,7 @@ def mean_tokens(a: Node) -> Node:
 def silu(a: Node) -> Node:
     x = a.value
     s = T._sigmoid(x)
-    out = T._check(x * s, "silu")
+    out = x * s
     T._tick(4 * x.size)
 
     def vjp(g):
@@ -464,7 +477,7 @@ def silu(a: Node) -> Node:
         d += 1.0
         d *= s
         d *= g
-        return (T._check(d, "silu vjp"),)
+        return (d,)
 
     return a.tape.push(out, (a,), vjp, "silu")
 
@@ -473,13 +486,12 @@ def silu_prime(a: Node) -> Node:
     """SiLU'(x) as a forward value; differentiable once more (SiLU'')."""
     x = a.value
     s = T.sigmoid(x)
-    out = T._check(s * (1.0 + x * (1.0 - s)), "silu_prime")
+    out = s * (1.0 + x * (1.0 - s))
     T._tick(3 * x.size)
 
     def vjp(g):
         # SiLU''(x) = s(1-s) (2 + x(1-2s))
-        return (T._check(g * (s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))),
-                         "silu_prime vjp"),)
+        return (g * (s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))),)
 
     return a.tape.push(out, (a,), vjp, "silu_prime")
 
@@ -490,14 +502,15 @@ def sigmoid(a: Node) -> Node:
     def vjp(g):
         d = g * s
         d *= 1.0 - s
-        return (T._check(d, "sigmoid vjp"),)
+        return (d,)
 
     return a.tape.push(s, (a,), vjp, "sigmoid")
 
 
 def sign(a: Node) -> Node:
     """Token-wise sign; blocks gradient flow (derivative zero a.e.)."""
-    out = T.sign(a.value)
+    T._tick(a.value.size)
+    out = np.sign(a.value)
 
     def vjp(g):
         return (None,)
@@ -506,37 +519,39 @@ def sign(a: Node) -> Node:
 
 
 def abs_(a: Node) -> Node:
-    out = T.abs_(a.value)
+    T._tick(a.value.size)
+    out = np.abs(a.value)
 
     def vjp(g):
-        return (T._check(g * np.sign(a.value), "abs vjp"),)
+        return (g * np.sign(a.value),)
 
     return a.tape.push(out, (a,), vjp, "abs")
 
 
 def sqrt_(a: Node) -> Node:
-    out = T.sqrt_(a.value)
+    T._tick(a.value.size)
+    out = np.sqrt(a.value)
 
     def vjp(g):
-        return (T._check(g * (0.5 / out), "sqrt vjp"),)
+        return (g * (0.5 / out),)
 
     return a.tape.push(out, (a,), vjp, "sqrt")
 
 
 def reciprocal(a: Node) -> Node:
-    out = T._check(1.0 / a.value, "reciprocal")
+    out = 1.0 / a.value
 
     def vjp(g):
-        return (T._check(-g * out * out, "reciprocal vjp"),)
+        return (-g * out * out,)
 
     return a.tape.push(out, (a,), vjp, "reciprocal")
 
 
 def clip_min(a: Node, c: float) -> Node:
-    out = T._check(np.maximum(a.value, c), "clip_min")
+    out = np.maximum(a.value, c)
 
     def vjp(g):
-        return (T._check(g * (a.value > c), "clip_min vjp"),)
+        return (g * (a.value > c),)
 
     return a.tape.push(out, (a,), vjp, "clip_min")
 
@@ -545,11 +560,11 @@ def huber(a: Node) -> Node:
     """Smooth-L1 kernel l(x) = x^2/2 inside |x|<1, |x| - 1/2 outside."""
     x = a.value
     inside = np.abs(x) < 1.0
-    out = T._check(np.where(inside, 0.5 * x * x, np.abs(x) - 0.5), "huber")
+    out = np.where(inside, 0.5 * x * x, np.abs(x) - 0.5)
     T._tick(3 * x.size)
 
     def vjp(g):
-        return (T._check(g * np.where(inside, x, np.sign(x)), "huber vjp"),)
+        return (g * np.where(inside, x, np.sign(x)),)
 
     return a.tape.push(out, (a,), vjp, "huber")
 
@@ -558,11 +573,11 @@ def huber_prime(a: Node) -> Node:
     """l'(x): identity inside the quadratic zone, sign outside."""
     x = a.value
     inside = np.abs(x) < 1.0
-    out = T._check(np.where(inside, x, np.sign(x)), "huber_prime")
+    out = np.where(inside, x, np.sign(x))
     T._tick(2 * x.size)
 
     def vjp(g):
-        return (T._check(g * inside, "huber_prime vjp"),)
+        return (g * inside,)
 
     return a.tape.push(out, (a,), vjp, "huber_prime")
 
@@ -572,13 +587,12 @@ def colscale(m: Node, s: Node) -> Node:
     mv, sv = m.value, s.value
     if sv.shape != mv.shape[:-1]:
         raise ContractError(f"colscale rate shape {sv.shape} != row shape {mv.shape[:-1]}")
-    out = T._check(mv * sv[..., None], "colscale")
+    out = mv * sv[..., None]
     T._tick(mv.size)
 
     def vjp(g):
-        return _checked("colscale vjp",
-                        g * sv[..., None] if m.requires else None,
-                        (g * mv).sum(axis=-1) if s.requires else None)
+        return (g * sv[..., None] if m.requires else None,
+                (g * mv).sum(axis=-1) if s.requires else None)
 
     return m.tape.push(out, (m, s), vjp, "colscale")
 
@@ -614,9 +628,9 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
         dgamma = (_unbroadcast(np.multiply(g, xhat, out=t), gamma.value.shape)
                   if gamma.requires else None)
         dbeta = _unbroadcast(g, beta.value.shape) if beta.requires else None
-        return _checked("layer_norm vjp", dx, dgamma, dbeta)
+        return dx, dgamma, dbeta
 
-    return x.tape.push(T._check(out, "layer_norm"), (x, gamma, beta), vjp, "layer_norm")
+    return x.tape.push(out, (x, gamma, beta), vjp, "layer_norm")
 
 
 def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -626,14 +640,14 @@ def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     logz = np.log(np.exp(shifted).sum(axis=-1))
     n = lv.shape[0]
     nll = logz - shifted[np.arange(n), labels]
-    out = T._check(np.asarray(nll.mean()), "cross_entropy")
+    out = np.asarray(nll.mean())
     T._tick(5 * lv.size)
 
     def vjp(g):
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
-        return (T._check(p * (g / n), "cross_entropy vjp"),)
+        return (p * (g / n),)
 
     return logits.tape.push(out, (logits,), vjp, "cross_entropy")
 
@@ -644,10 +658,8 @@ def dwconv3x3(x: Node, k: Node) -> Node:
     out = T.dwconv3x3(xv, kv)
 
     def vjp(g):
-        dx = (T.dwconv3x3(g, T.flip_dw(kv), check="dwconv3x3 vjp")
-              if x.requires else None)
-        dk = (T.dwconv3x3_wgrad(xv, g, per_sample=(kv.ndim == 4), check="dwconv3x3 vjp")
-              if k.requires else None)
+        dx = T.dwconv3x3(g, T.flip_dw(kv)) if x.requires else None
+        dk = T.dwconv3x3_wgrad(xv, g, per_sample=(kv.ndim == 4)) if k.requires else None
         return dx, dk
 
     return x.tape.push(out, (x, k), vjp, "dwconv3x3")
@@ -659,10 +671,8 @@ def conv3x3(x: Node, k: Node) -> Node:
     out = T.conv3x3_full(xv, kv)
 
     def vjp(g):
-        dx = (T.conv3x3_full(g, T.flip_full(kv), check="conv3x3 vjp")
-              if x.requires else None)
-        dk = (T.conv3x3_full_wgrad(xv, g, per_sample=(kv.ndim == 5), check="conv3x3 vjp")
-              if k.requires else None)
+        dx = T.conv3x3_full(g, T.flip_full(kv)) if x.requires else None
+        dk = T.conv3x3_full_wgrad(xv, g, per_sample=(kv.ndim == 5)) if k.requires else None
         return dx, dk
 
     return x.tape.push(out, (x, k), vjp, "conv3x3")
@@ -674,9 +684,8 @@ def dwconv3x3_wgrad(x: Node, g_in: Node) -> Node:
     out = T.dwconv3x3_wgrad(xv, gv, per_sample=True)
 
     def vjp(ct):
-        dx = (T.dwconv3x3(gv, T.flip_dw(ct), check="dwconv3x3_wgrad vjp")
-              if x.requires else None)
-        dg = T.dwconv3x3(xv, ct, check="dwconv3x3_wgrad vjp") if g_in.requires else None
+        dx = T.dwconv3x3(gv, T.flip_dw(ct)) if x.requires else None
+        dg = T.dwconv3x3(xv, ct) if g_in.requires else None
         return dx, dg
 
     return x.tape.push(out, (x, g_in), vjp, "dwconv3x3_wgrad")
@@ -688,9 +697,8 @@ def conv3x3_wgrad(x: Node, g_in: Node) -> Node:
     out = T.conv3x3_full_wgrad(xv, gv, per_sample=True)
 
     def vjp(ct):
-        dx = (T.conv3x3_full(gv, T.flip_full(ct), check="conv3x3_wgrad vjp")
-              if x.requires else None)
-        dg = T.conv3x3_full(xv, ct, check="conv3x3_wgrad vjp") if g_in.requires else None
+        dx = T.conv3x3_full(gv, T.flip_full(ct)) if x.requires else None
+        dg = T.conv3x3_full(xv, ct) if g_in.requires else None
         return dx, dg
 
     return x.tape.push(out, (x, g_in), vjp, "conv3x3_wgrad")

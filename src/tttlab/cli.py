@@ -63,12 +63,9 @@ def _runconfig(args) -> RunConfig:
     if args.command == "gradcheck":
         doc.setdefault("threads", min(8, os.cpu_count() or 1))
     rc = RunConfig.from_dict(doc)
-    rc.command = args.command
-    for name in ("seed", "out_dir", "threads", "task", "epochs", "batch_size",
-                 "train_size", "val_size", "data_path", "inner_loss", "inner_lr",
-                 "inner_epochs", "inner_parts"):
-        value = getattr(args, name, None)
-        if value is not None:
+    # every parsed argument named after a RunConfig field overrides it, `command` too
+    for name, value in vars(args).items():
+        if name in RunConfig.__dataclass_fields__ and value is not None:
             setattr(rc, name, value)
     return rc.validate()
 

@@ -227,6 +227,18 @@ class Task:
     meta: dict                                       # checkpoint meta
 
 
+def _synthetic_cifar(root: str, rc: RunConfig) -> str | None:
+    """The synthetic CIFAR set rc trains on, under root, named by its seed and sizes and
+    written only if it is not there yet; None for recall or if real CIFAR-10 is found."""
+    if rc.task != "cifar" or D.find_cifar10(rc.data_path or None) is not None:
+        return None
+    n_train, n_test = max(rc.train_size, 5000), max(rc.val_size, 1000)
+    path = os.path.join(root, f"synthetic-cifar-bin-s{rc.seed}-{n_train}-{n_test}")
+    if not os.path.exists(os.path.join(path, "data_batch_1.bin")):
+        D.write_synthetic_cifar(path, seed=rc.seed, n_train=n_train, n_test=n_test)
+    return path
+
+
 def _setup(rc: RunConfig) -> Task:
     """The task's seeded model, training inputs, validation split and checkpoint meta."""
     if rc.task == "recall":
@@ -236,14 +248,8 @@ def _setup(rc: RunConfig) -> Task:
         model = RecallModel(rc, data.n_classes, np.random.default_rng(rc.seed + 1))
         return Task(model, data.labels[:n], lambda idx, epoch: data.tokens[idx],
                     data.tokens[n:], data.labels[n:], {"task": "recall"})
-    path = D.find_cifar10(rc.data_path or None)
-    synthetic = path is None
-    if synthetic:
-        path = os.path.join(rc.out_dir, "synthetic-cifar-bin")
-        if not os.path.exists(os.path.join(path, "data_batch_1.bin")):
-            D.write_synthetic_cifar(path, seed=rc.seed,
-                                    n_train=max(rc.train_size, 5000),
-                                    n_test=max(rc.val_size, 1000))
+    synthetic = _synthetic_cifar(rc.out_dir, rc)
+    path = synthetic or D.find_cifar10(rc.data_path or None)
     train = D.load_cifar10(path, "train")
     test = D.load_cifar10(path, "test")
 
@@ -258,7 +264,7 @@ def _setup(rc: RunConfig) -> Task:
 
     return Task(Model(rc.model_config(), np.random.default_rng(rc.seed)),
                 train.labels[:rc.train_size], batch, normalize(test.images[:rc.val_size]),
-                test.labels[:rc.val_size], {"task": "cifar", "synthetic": synthetic})
+                test.labels[:rc.val_size], {"task": "cifar", "synthetic": synthetic is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +365,15 @@ def _cell_config(rc_doc: dict, overrides: dict, seed: int) -> RunConfig:
 
 def ablate_cell(args: tuple) -> dict:
     """One grid cell: a desk-scale train of the configured task, then its trained model's
-    layer FLOPs and forward throughput."""
-    rc_doc, overrides, seed = args
+    layer FLOPs and forward throughput. The job's last entry is the grid's synthetic
+    CIFAR set for this cell, or None; the cell links it where its training looks."""
+    rc_doc, overrides, seed, synthetic = args
     rc = _cell_config(rc_doc, overrides, seed)
+    if synthetic:
+        link = os.path.join(rc.out_dir, os.path.basename(synthetic))
+        if not os.path.lexists(link):
+            os.makedirs(rc.out_dir, exist_ok=True)
+            os.symlink(os.path.relpath(synthetic, rc.out_dir), link)
     task, report = _train(rc)
     model = task.model
     layer_fl = ttt_layer_flops(model.tokens, rc.dim, rc.heads, model.head_archs,
@@ -394,7 +406,8 @@ def _cell_throughput(model: M.Classifier, x: np.ndarray) -> float | None:
 
 def cmd_ablate(rc: RunConfig, grid: dict | None = None) -> dict:
     """Train every cell of the grid's cross product; every cell's config is validated
-    before the first one runs."""
+    before the first one runs, and cells that share a synthetic CIFAR set share one
+    copy under the grid's out_dir."""
     grid = dict(grid or DEFAULT_GRID)
     seeds = grid.pop("seeds", [rc.seed])
     axes = sorted(grid)
@@ -402,8 +415,9 @@ def cmd_ablate(rc: RunConfig, grid: dict | None = None) -> dict:
     for axis in axes:
         combos = [{**c, axis: v} for c in combos for v in grid[axis]]
     jobs = [(asdict(rc), combo, seed) for combo in combos for seed in seeds]
-    for job in jobs:
-        _cell_config(*job)
+    cells = [_cell_config(*job) for job in jobs]
+    # each distinct synthetic CIFAR set is written once, before any cell runs
+    jobs = [(*job, _synthetic_cifar(rc.out_dir, cell)) for job, cell in zip(jobs, cells)]
     if rc.threads > 1:
         with ProcessPoolExecutor(max_workers=rc.threads) as pool:
             rows = list(pool.map(ablate_cell, jobs))

@@ -328,10 +328,6 @@ class Conv3x3(InnerArch):
     def weight_shapes(self, d):
         return [(3, 3, d, d)]
 
-    def init(self, rng, d, dtype=np.float64):
-        bound = 1.0 / math.sqrt(9 * d)
-        return [rng.uniform(-bound, bound, size=(3, 3, d, d)).astype(dtype)]
-
     def forward_pullback(self, ws, x, grid=None):
         if grid is None or grid[0] * grid[1] != x.value.shape[-2]:
             raise T.GridError(
@@ -366,10 +362,6 @@ class DWConv3x3(Conv3x3):
 
     def weight_shapes(self, d):
         return [(3, 3, d)]
-
-    def init(self, rng, d, dtype=np.float64):
-        bound = 1.0 / 3.0
-        return [rng.uniform(-bound, bound, size=(3, 3, d)).astype(dtype)]
 
 
 _FIXED_ARCHS = {a.name: a for a in (

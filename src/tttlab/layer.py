@@ -37,7 +37,6 @@ class TTTLayerParams:
     inner: list[InnerModel] = field(default_factory=list)
     w_eta: list[np.ndarray] = field(default_factory=list)  # per head [C, 1]
     head_archs: tuple[str, ...] = ()
-    normalize_qk: bool = False
 
     @property
     def head_dim(self) -> int:
@@ -45,7 +44,7 @@ class TTTLayerParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, dim: int, heads: int,
-               head_archs, dtype=np.float64, normalize_qk: bool = False):
+               head_archs, dtype=np.float64):
         if dim % heads != 0:
             raise T.DimensionError(f"dim {dim} not divisible by heads {heads}")
         head_archs = tuple(head_archs)
@@ -53,7 +52,7 @@ class TTTLayerParams:
             raise T.DimensionError(f"need {heads} head architectures, got {len(head_archs)}")
         d = dim // heads
         s = 1.0 / np.sqrt(dim)
-        p = cls(dim=dim, heads=heads, head_archs=head_archs, normalize_qk=normalize_qk)
+        p = cls(dim=dim, heads=heads, head_archs=head_archs)
         for name in head_archs:
             p.wq.append(rng.uniform(-s, s, (dim, d)).astype(dtype))
             p.wk.append(rng.uniform(-s, s, (dim, d)).astype(dtype))
@@ -76,11 +75,6 @@ class TTTLayerParams:
         return out
 
 
-def _l2_normalize_rows(q: Node) -> Node:
-    n = ad.sqrt_(ad.clip_min(ad.sum_last(ad.mul(q, q)), 1e-12))
-    return ad.colscale(q, ad.reciprocal(n))
-
-
 def ttt_attention_nodes(x: Node, leaves: dict[str, Node], params: TTTLayerParams,
                         cfg: InnerTrainConfig, grid=None, prefix: str = "") -> Node:
     """Tape-level layer forward on [.., N, C] rows; leaves hold the parameter nodes."""
@@ -90,9 +84,6 @@ def ttt_attention_nodes(x: Node, leaves: dict[str, Node], params: TTTLayerParams
         q = ad.matmul(x, leaves[f"{prefix}h{h}.wq"])
         k = ad.matmul(x, leaves[f"{prefix}h{h}.wk"])
         v = ad.matmul(x, leaves[f"{prefix}h{h}.wv"])
-        if params.normalize_qk:
-            q = _l2_normalize_rows(q)
-            k = _l2_normalize_rows(k)
         rate = None
         if cfg.dynamic_lr:
             rate = dynamic_rate(x, leaves[f"{prefix}h{h}.weta"], cfg.lr)
@@ -119,15 +110,14 @@ _SOFTMAX_CHUNK = 256
 def _softmax_head(q: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     # sigma(Q W1) W2; softmax attention is the W1 = K^T, W2 = V case.
     # Processed in query-row blocks so transient memory stays bounded at
-    # chunk x N instead of N x N.
+    # chunk x N instead of N x N. It runs on no tape, so it checks its own
+    # result in debug mode.
     n = q.shape[0]
-    if n <= _SOFTMAX_CHUNK:
-        return T.matmul(T.softmax_rows(T.matmul(q, w1)), w2)
     out = np.empty((n, w2.shape[1]), dtype=np.result_type(q, w1, w2))
     for lo in range(0, n, _SOFTMAX_CHUNK):
         hi = min(lo + _SOFTMAX_CHUNK, n)
         out[lo:hi] = T.matmul(T.softmax_rows(T.matmul(q[lo:hi], w1)), w2)
-    return out
+    return T._check(out, "softmax_head")
 
 
 def softmax_attention(x: np.ndarray, params: TTTLayerParams) -> np.ndarray:

@@ -40,7 +40,6 @@ class ModelConfig:
     num_classes: int = 10
     inner: InnerTrainConfig = field(default_factory=InnerTrainConfig)
     head_archs: tuple[str, ...] = ()
-    normalize_qk: bool = False
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
@@ -104,8 +103,7 @@ class Model(Classifier):
         self.params["patch.w"] = normal((patch_in, c))
         self.params["patch.b"] = np.zeros(c, dtype=dtype)
         for i in range(cfg.depth):
-            lay = TTTLayerParams.create(rng, c, cfg.heads, cfg.head_archs, dtype=dtype,
-                                        normalize_qk=cfg.normalize_qk)
+            lay = TTTLayerParams.create(rng, c, cfg.heads, cfg.head_archs, dtype=dtype)
             self.layers.append(lay)
             self.params.update(lay.named_arrays(prefix=f"b{i}.ttt."))
             self.params[f"b{i}.cpe"] = normal((3, 3, c), std=1.0 / 3.0)

@@ -1,9 +1,11 @@
 """Dense tensor primitives: the closed op set everything else is built from.
 
 Values are plain numpy ndarrays, row-major contiguous, float32 for training
-and float64 for gradient checks. Ops are pure functions; reshape/transpose
-materialize. A debug mode validates finiteness after every op so divergence
-regimes fail loudly instead of propagating NaNs.
+and float64 for gradient checks. Ops are pure functions; transpose
+materializes. The kernels check nothing for finiteness: in debug mode
+(`set_debug`) the autodiff tape checks every value it records and every
+cotangent, named by op, so divergence regimes fail loudly instead of
+propagating NaNs.
 
 Grids are channels-last: [H, W, C] for a single sequence, [b, H, W, C]
 batched. Depthwise 3x3 kernels are [3, 3, C] (shared) or [b, 3, 3, C]
@@ -34,7 +36,7 @@ _debug = False
 
 
 def set_debug(enabled: bool) -> None:
-    """Enable per-op finiteness checks (diagnoses divergence regimes)."""
+    """Enable the tape's per-op finiteness checks (diagnoses divergence regimes)."""
     global _debug
     _debug = enabled
 
@@ -107,7 +109,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _matmul_shapes(a, b, "matmul")
     out = _gemm(a, b)
     _tick(2 * out.size * a.shape[-1])
-    return _check(out, "matmul")
+    return out
 
 
 def linear(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -119,7 +121,7 @@ def linear(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     out = _gemm(x, w)
     out += bias
     _tick(2 * out.size * x.shape[-1] + out.size)
-    return _check(out, "linear")
+    return out
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -128,7 +130,7 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
     _tick(4 * m.size)
-    return _check(out, "softmax_rows")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,52 +149,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     out = _sigmoid(x)
     _tick(3 * x.size)
-    return _check(out, "sigmoid")
+    return out
 
 
 def silu(x: np.ndarray) -> np.ndarray:
     out = _sigmoid(x)
     out *= x
     _tick(4 * x.size)
-    return _check(out, "silu")
-
-
-def add(a, b):
-    _shape_compatible(a, b, "add")
-    _tick(max(np.size(a), np.size(b)))
-    return _check(np.add(a, b), "add")
-
-
-def sub(a, b):
-    _shape_compatible(a, b, "sub")
-    _tick(max(np.size(a), np.size(b)))
-    return _check(np.subtract(a, b), "sub")
-
-
-def mul(a, b):
-    _shape_compatible(a, b, "mul")
-    _tick(max(np.size(a), np.size(b)))
-    return _check(np.multiply(a, b), "mul")
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    _tick(np.size(a))
-    return _check(a * c, "scale")
-
-
-def sign(x: np.ndarray) -> np.ndarray:
-    _tick(x.size)
-    return _check(np.sign(x), "sign")
-
-
-def abs_(x: np.ndarray) -> np.ndarray:
-    _tick(x.size)
-    return _check(np.abs(x), "abs")
-
-
-def sqrt_(x: np.ndarray) -> np.ndarray:
-    _tick(x.size)
-    return _check(np.sqrt(x), "sqrt")
+    return out
 
 
 def _shape_compatible(a, b, op: str) -> None:
@@ -234,12 +198,11 @@ def _tap_rows(xb: np.ndarray) -> np.ndarray:
     return as_strided(xp, (b, h, 3, 3, w * c), (sb, sh, sh, sw, sc), writeable=False)
 
 
-def dwconv3x3(x: np.ndarray, k: np.ndarray, check: str = "dwconv3x3") -> np.ndarray:
+def dwconv3x3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Depthwise 3x3 conv; kernel [3,3,C] shared or [b,3,3,C] per-sample.
 
     One contraction of the tap rows against the kernel tiled along W, which sums
     the nine taps in the same order as the shifted multiply-add loop.
-    `check` names the op in a debug-mode finiteness failure (a vjp passes its own).
     """
     xb, squeeze = _as_batched_grid(x, "dwconv3x3")
     b, h, w, c = xb.shape
@@ -260,12 +223,11 @@ def dwconv3x3(x: np.ndarray, k: np.ndarray, check: str = "dwconv3x3") -> np.ndar
         spec = "bhuvj,buvj->bhj" if k.ndim == 4 else "bhuvj,uvj->bhj"
         out = np.einsum(spec, rows, np.tile(k, w), dtype=xb.dtype, casting="same_kind")
     _tick(2 * 9 * xb.size)
-    out = _check(out.reshape(b, h, w, c), check)
+    out = out.reshape(b, h, w, c)
     return out[0] if squeeze else out
 
 
-def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True,
-                    check: str = "dwconv3x3_wgrad") -> np.ndarray:
+def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) -> np.ndarray:
     """Kernel gradient of dwconv3x3: correlate upstream grid g with x windows."""
     xb, _ = _as_batched_grid(x, "dwconv3x3_wgrad")
     gb, _ = _as_batched_grid(g, "dwconv3x3_wgrad")
@@ -281,7 +243,7 @@ def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True,
         for v in range(3):
             np.einsum(spec, gb, xp[:, u:u + h, v:v + w, :], out=out[..., u, v, :])
     _tick(2 * 9 * xb.size)
-    return _check(out, check)
+    return out
 
 
 def _patches(xb: np.ndarray) -> np.ndarray:
@@ -291,11 +253,8 @@ def _patches(xb: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b, h * w, 9 * c)
 
 
-def conv3x3_full(x: np.ndarray, k: np.ndarray, check: str = "conv3x3_full") -> np.ndarray:
-    """Full 3x3 conv; kernel [3,3,Cin,Cout] shared or [b,3,3,Cin,Cout] per-sample.
-
-    `check` names the op in a debug-mode finiteness failure (a vjp passes its own).
-    """
+def conv3x3_full(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Full 3x3 conv; kernel [3,3,Cin,Cout] shared or [b,3,3,Cin,Cout] per-sample."""
     xb, squeeze = _as_batched_grid(x, "conv3x3_full")
     b, h, w, c = xb.shape
     if k.shape[-2] != c or k.shape[-4:-2] != (3, 3):
@@ -305,12 +264,10 @@ def conv3x3_full(x: np.ndarray, k: np.ndarray, check: str = "conv3x3_full") -> n
     km = k.reshape(*k.shape[:-4], 9 * c, cout)
     out = np.matmul(cols, km).reshape(b, h, w, cout)
     _tick(2 * b * h * w * 9 * c * cout)
-    out = _check(out, check)
     return out[0] if squeeze else out
 
 
-def conv3x3_full_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True,
-                       check: str = "conv3x3_full_wgrad") -> np.ndarray:
+def conv3x3_full_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) -> np.ndarray:
     """Kernel gradient of conv3x3_full -> [b,3,3,Cin,Cout] (or summed over b)."""
     xb, _ = _as_batched_grid(x, "conv3x3_full_wgrad")
     gb, _ = _as_batched_grid(g, "conv3x3_full_wgrad")
@@ -320,7 +277,6 @@ def conv3x3_full_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True,
     out = np.matmul(cols.transpose(0, 2, 1), gb.reshape(b, h * w, cout))
     _tick(2 * b * h * w * 9 * c * cout)
     out = out.reshape(b, 3, 3, c, cout)
-    out = _check(out, check)
     if not per_sample:
         out = out.sum(axis=0)
     return out
@@ -342,10 +298,6 @@ def flip_full(k: np.ndarray) -> np.ndarray:
 def transpose(a: np.ndarray) -> np.ndarray:
     """Swap the last two axes, materialized contiguous."""
     return np.ascontiguousarray(np.swapaxes(a, -1, -2))
-
-
-def reshape(a: np.ndarray, shape) -> np.ndarray:
-    return np.ascontiguousarray(a).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

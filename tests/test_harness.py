@@ -234,6 +234,21 @@ class TestCmdAblate:
         row = cmd_ablate(rc, {"inner_lr": [1.0], "seeds": [0]})["rows"][0]
         assert row["status"] == "" and row["throughput"] > 0
 
+    def test_cifar_grid_writes_one_synthetic_set(self, tmp_path, monkeypatch):
+        # no real CIFAR-10 anywhere: every cell trains on the synthetic fallback
+        monkeypatch.delenv("TTTLAB_CIFAR10", raising=False)
+        monkeypatch.chdir(tmp_path)
+        rc = RunConfig(task="cifar", seed=0, out_dir=str(tmp_path / "grid"), epochs=1,
+                       train_size=32, val_size=16, batch_size=16, image_size=32,
+                       patch_size=8, dim=16, heads=2, depth=1, warmup_epochs=0)
+        cmd_ablate(rc, {"inner_lr": [0.5, 1.0], "seeds": [0]})
+        sets = [root for root, _, files in os.walk(tmp_path) if "data_batch_1.bin" in files]
+        assert len(sets) == 1
+        cells = list((tmp_path / "grid" / "cells").iterdir())
+        assert len(cells) == 2
+        for cell in cells:
+            assert read_json(cell / "checkpoint" / "checkpoint.json")["meta"]["synthetic"] is True
+
     def test_unknown_axis_refused_before_any_cell(self, tmp_path):
         rc = small_recall_rc(str(tmp_path), epochs=1, train_size=64, val_size=32)
         with pytest.raises(ValueError, match="inner_los"):

@@ -97,6 +97,12 @@ def tape_op(op, *values):
     return node.value, node
 
 
+def value_op(op, *values):
+    """Value of `op` applied to fresh leaves of a Tape(record=False)."""
+    t = Tape(record=False)
+    return op(*(t.leaf(v) for v in values)).value
+
+
 # ---------------------------------------------------------------------------
 # matmul and linear
 
@@ -315,7 +321,7 @@ LAYOUT_OPS = {"reshape": lambda x: ad.reshape(x, (4, 6)),
 class TestDebugCoverage:
     def test_tensor_matmul(self):
         with pytest.raises(T.NonFiniteError, match="^matmul produced"):
-            T.matmul(poisoned((2, 4, 3)), np.ones((3, 5)))
+            value_op(ad.matmul, poisoned((2, 4, 3)), np.ones((3, 5)))
 
     @pytest.mark.parametrize("sb", [(3, 5), (2, 3, 5)])
     def test_matmul_vjp(self, sb):
@@ -342,7 +348,7 @@ class TestDebugCoverage:
         with pytest.raises(T.NonFiniteError, match="^silu produced"):
             tape_op(ad.silu, poisoned((4, 6)))
         with pytest.raises(T.NonFiniteError, match="^silu produced"):
-            T.silu(poisoned((4, 6)))
+            value_op(ad.silu, poisoned((4, 6)))
         _, node = tape_op(ad.silu, np.ones((4, 6)))
         with pytest.raises(T.NonFiniteError, match="^silu vjp produced"):
             node.vjp(nan_like(node.value))
@@ -356,8 +362,17 @@ class TestDebugCoverage:
 
     @pytest.mark.parametrize("per_sample", [True, False])
     def test_dwconv3x3_wgrad(self, per_sample):
-        with pytest.raises(T.NonFiniteError, match="^dwconv3x3_wgrad produced"):
-            T.dwconv3x3_wgrad(poisoned((2, 3, 3, 2)), np.ones((2, 3, 3, 2)), per_sample)
+        # a per-sample kernel gradient is the value of the dwconv3x3_wgrad op; a
+        # shared one is only ever the kernel cotangent of a shared-kernel dwconv3x3
+        if per_sample:
+            with pytest.raises(T.NonFiniteError, match="^dwconv3x3_wgrad produced"):
+                value_op(ad.dwconv3x3_wgrad, poisoned((2, 3, 3, 2)), np.ones((2, 3, 3, 2)))
+        else:
+            t = Tape()
+            node = ad.dwconv3x3(t.leaf(np.ones((2, 3, 3, 2))),
+                                t.leaf(np.ones((3, 3, 2)), name="k", param=True))
+            with pytest.raises(T.NonFiniteError, match="^dwconv3x3 vjp produced"):
+                node.vjp(poisoned((2, 3, 3, 2)))
 
     def test_reciprocal(self):
         with pytest.raises(T.NonFiniteError, match="^reciprocal produced"):
@@ -464,6 +479,11 @@ class TestDebugCoverage:
             node.vjp(nan_like(node.value))
 
     @pytest.mark.parametrize("op", sorted(LAYOUT_OPS))
+    def test_layout(self, op):
+        with pytest.raises(T.NonFiniteError, match=f"^{op} produced"):
+            tape_op(LAYOUT_OPS[op], poisoned((2, 4, 3)))
+
+    @pytest.mark.parametrize("op", sorted(LAYOUT_OPS))
     def test_layout_vjp(self, op):
         _, node = tape_op(LAYOUT_OPS[op], np.ones((2, 4, 3)))
         with pytest.raises(T.NonFiniteError, match=f"^{op} vjp produced"):
@@ -479,6 +499,13 @@ class TestDebugCoverage:
         with pytest.raises(T.NonFiniteError, match="^dwconv3x3 vjp produced"):
             node.vjp(nan_like(node.value))
 
+    @pytest.mark.parametrize("op, second", [("conv3x3", (2, 3, 3, 2, 4)),
+                                            ("conv3x3_wgrad", (2, 3, 3, 2))])
+    def test_conv_forward_named_by_tape_op(self, op, second):
+        # not by the kernel that computes it (conv3x3_full, conv3x3_full_wgrad)
+        with pytest.raises(T.NonFiniteError, match=f"^{op} produced"):
+            tape_op(getattr(ad, op), poisoned((2, 3, 3, 2)), np.ones(second))
+
     @pytest.mark.parametrize("kshape", [(3, 3, 2, 4), (2, 3, 3, 2, 4)])
     def test_conv3x3(self, kshape):
         _, node = tape_op(ad.conv3x3, np.ones((2, 3, 3, 2)), np.ones(kshape))
@@ -490,3 +517,16 @@ class TestDebugCoverage:
         _, node = tape_op(getattr(ad, op), np.ones((2, 3, 3, 2)), np.ones((2, 3, 3, 2)))
         with pytest.raises(T.NonFiniteError, match=f"^{op} vjp produced"):
             node.vjp(nan_like(node.value))
+
+
+class TestDebugReadWhenRecorded:
+    def test_off_keeps_the_ops_own_vjp(self):
+        _, node = tape_op(ad.mul, np.ones((2, 4, 3)), np.ones(3))
+        assert node.vjp.__qualname__ == "mul.<locals>.vjp"
+
+    def test_switched_on_after_recording_checks_nothing(self, debug):
+        T.set_debug(False)
+        _, node = tape_op(ad.mul, np.ones((2, 4, 3)), np.ones(3))
+        T.set_debug(True)
+        da, db = node.vjp(nan_like(node.value))
+        assert np.isnan(da).all() and np.isnan(db).all()

@@ -205,13 +205,6 @@ class TestTTTAttention:
                                     r"epoch \d+/150, part 1/1"):
             ttt_attention_nodes(tape.leaf(x), leaves, p, cfg, prefix="b2.ttt.")
 
-    def test_normalize_qk_knob(self):
-        p = make_params(16, 2, seed=8)
-        p.normalize_qk = True
-        x = RNG.standard_normal((6, 16))
-        out = ttt_attention(x, p, InnerTrainConfig(loss="mse"))
-        assert out.shape == (6, 16) and np.isfinite(out).all()
-
 
 class TestOracleChain:
     def test_three_way_chain(self):
