@@ -8,8 +8,7 @@ from .inner import (InnerModel, InnerTrainConfig, inner_forward, inner_loss,
                     partition_batches)
 from .layer import (TTTLayerParams, attention_mlp_oracle, linear_attention,
                     softmax_attention, ttt_attention)
-from .model import (Model, ModelConfig, adamw_step, flops_estimate,
-                    forward_classifier, patch_embed)
+from .model import Model, ModelConfig, adamw_step, flops_estimate, forward_classifier
 from .data import Dataset, augment, load_cifar10, synth_recall_task
 
 __version__ = "0.1.0"

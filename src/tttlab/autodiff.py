@@ -412,17 +412,6 @@ def sum_all(a: Node) -> Node:
     return a.tape.push(out, (a,), vjp, "sum_all")
 
 
-def sum_last(a: Node) -> Node:
-    """Sum over the last axis."""
-    out = a.value.sum(axis=-1)
-    T._tick(a.value.size)
-
-    def vjp(g):
-        return (np.broadcast_to(g[..., None], a.value.shape).astype(a.value.dtype),)
-
-    return a.tape.push(out, (a,), vjp, "sum_last")
-
-
 def sum_last2(a: Node) -> Node:
     """Sum over the last two axes (per-sequence reduction of [.., B, d])."""
     out = a.value.sum(axis=(-2, -1))
@@ -432,21 +421,6 @@ def sum_last2(a: Node) -> Node:
         return (np.broadcast_to(g[..., None, None], a.value.shape).astype(a.value.dtype),)
 
     return a.tape.push(out, (a,), vjp, "sum_last2")
-
-
-def matscale(m: Node, s: Node) -> Node:
-    """Scale each [B, d] matrix of m by the matching scalar of s (shape m.shape[:-2])."""
-    mv, sv = m.value, s.value
-    if sv.shape != mv.shape[:-2]:
-        raise ContractError(f"matscale rate shape {sv.shape} != {mv.shape[:-2]}")
-    out = mv * sv[..., None, None]
-    T._tick(mv.size)
-
-    def vjp(g):
-        return (g * sv[..., None, None] if m.requires else None,
-                (g * mv).sum(axis=(-2, -1)) if s.requires else None)
-
-    return m.tape.push(out, (m, s), vjp, "matscale")
 
 
 def mean_tokens(a: Node) -> Node:
@@ -580,21 +554,6 @@ def huber_prime(a: Node) -> Node:
         return (g * inside,)
 
     return a.tape.push(out, (a,), vjp, "huber_prime")
-
-
-def colscale(m: Node, s: Node) -> Node:
-    """Scale each token row of m by the matching entry of rate vector s."""
-    mv, sv = m.value, s.value
-    if sv.shape != mv.shape[:-1]:
-        raise ContractError(f"colscale rate shape {sv.shape} != row shape {mv.shape[:-1]}")
-    out = mv * sv[..., None]
-    T._tick(mv.size)
-
-    def vjp(g):
-        return (g * sv[..., None] if m.requires else None,
-                (g * mv).sum(axis=-1) if s.requires else None)
-
-    return m.tape.push(out, (m, s), vjp, "colscale")
 
 
 # ---------------------------------------------------------------------------

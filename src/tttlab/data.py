@@ -70,16 +70,6 @@ def load_cifar10(path: str, split: str = "train") -> Dataset:
     return ds
 
 
-def serialize_cifar10(ds: Dataset) -> bytes:
-    """Inverse of the loader; byte-identical for data that came from it."""
-    n = len(ds)
-    rec = np.empty((n, _REC), dtype=np.uint8)
-    rec[:, 0] = ds.labels.astype(np.uint8)
-    pix = np.rint(ds.images * 255.0).astype(np.uint8)
-    rec[:, 1:] = pix.transpose(0, 3, 1, 2).reshape(n, -1)
-    return rec.tobytes()
-
-
 def crop_shift(image: np.ndarray, pad: int, dy: int, dx: int) -> np.ndarray:
     """Zero-pad by `pad`, then crop so content shifts by (dy, dx); (0, 0) is identity."""
     h, w = image.shape[:2]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import platform
 import time
@@ -42,12 +43,14 @@ POSITIVE_FIELDS = ("threads", "epochs", "batch_size", "train_size", "val_size",
                    "image_size", "patch_size", "dim", "heads", "depth", "num_classes",
                    "recall_seq", "recall_width", "recall_keys", "inner_epochs",
                    "inner_parts")
-# JSON value checks by RunConfig field annotation; bool is not accepted as a number
+# JSON value checks by RunConfig field annotation; bool is not accepted as a number,
+# nor NaN or an infinity as a float
 _TYPE_CHECKS = {
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "float": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                        or (isinstance(v, float) and math.isfinite(v))),
     "list[str]": lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
 }
 

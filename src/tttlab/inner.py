@@ -67,7 +67,8 @@ def loss_grad(kind: str, vhat: Node, v: Node) -> Node:
         return ad.scale(e, c)
     if kind == "rmse":
         s = ad.clip_min(ad.scale(ad.sum_last2(ad.mul(e, e)), c), RMSE_EPS)
-        return ad.matscale(ad.scale(e, c), ad.reciprocal(ad.sqrt_(s)))
+        r = ad.reciprocal(ad.sqrt_(s))
+        return ad.mul(ad.scale(e, c), ad.reshape(r, (*r.value.shape, 1, 1)))
     if kind == "mae":
         return ad.scale(ad.sign(e), c)
     if kind == "smooth_l1":
@@ -439,7 +440,8 @@ def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
                        grid=None) -> list[Node]:
     """Unrolled inner training on the tape; returns the adapted weight nodes.
 
-    `rate` is the per-token learning rate [.., N] (already scaled by eta); when
+    `rate` is the per-token learning rate, a [.., N, 1] column (already scaled
+    by eta) that `ad.mul` broadcasts over each token's loss gradient; when
     None, the fixed rate cfg.lr scales each step instead. Each mini-batch runs
     the forward once, on the rows its outputs depend on (`arch.context`), and
     its pullback on the same rows.
@@ -452,8 +454,7 @@ def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
             vhat, pullback = arch.forward_pullback(ws, _rows(k, clo, chi), sub)
             dv = loss_grad(cfg.loss, _rows(vhat, lo - clo, hi - clo), _rows(v, lo, hi))
             if rate is not None:
-                r = rate if (lo, hi) == (0, n) else _slice_rate(rate, lo, hi)
-                dv = ad.colscale(dv, r)
+                dv = ad.mul(dv, _rows(rate, lo, hi))
             if (clo, chi) != (lo, hi):
                 dv = ad.pad_rows(dv, chi - clo, lo - clo, hi - clo)
             grads = pullback(dv)
@@ -471,18 +472,9 @@ def _rows(a: Node, lo: int, hi: int) -> Node:
     return a if (lo, hi) == (0, a.value.shape[-2]) else ad.rows(a, lo, hi)
 
 
-def _slice_rate(rate: Node, lo: int, hi: int) -> Node:
-    # rate is [.., N]; reuse the token-row slice via a dummy feature axis
-    lead = rate.value.shape
-    r = ad.reshape(rate, (*lead, 1))
-    r = ad.rows(r, lo, hi)
-    return ad.reshape(r, r.value.shape[:-1])
-
-
 def dynamic_rate(x: Node, w_eta: Node, eta: float) -> Node:
-    """Token-wise rate eta * sigmoid(x_i W_eta) -> [.., N]."""
-    r = ad.scale(ad.sigmoid(ad.matmul(x, w_eta)), eta)
-    return ad.reshape(r, r.value.shape[:-1])
+    """Token-wise rate eta * sigmoid(x_i W_eta) as a [.., N, 1] column."""
+    return ad.scale(ad.sigmoid(ad.matmul(x, w_eta)), eta)
 
 
 def inner_update(model: InnerModel, k: np.ndarray, v: np.ndarray,
@@ -513,10 +505,4 @@ def inner_update(model: InnerModel, k: np.ndarray, v: np.ndarray,
         xr = x.reshape(-1, x.shape[-1]) if x.ndim == 3 else x
         rate = dynamic_rate(tape.leaf(xr), tape.leaf(w_eta), cfg.lr)
     star = inner_update_nodes(arch, ws, tape.leaf(k), tape.leaf(v), cfg, rate, grid)
-    out = []
-    for w0, w in zip(model.weights, star):
-        val = w.value
-        if val.ndim == w0.ndim + 1 and val.shape[0] == 1:
-            val = val.reshape(w0.shape)
-        out.append(val)
-    return InnerModel(kind=model.kind, d=model.d, weights=out)
+    return InnerModel(kind=model.kind, d=model.d, weights=[w.value for w in star])

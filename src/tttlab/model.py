@@ -166,22 +166,6 @@ def unfold_patches(images: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(b, (h // p) * (w // p), p * p * c)
 
 
-def fold_patches(tokens: np.ndarray, p: int, hw: tuple[int, int]) -> np.ndarray:
-    """Inverse of unfold_patches."""
-    h, w = hw
-    b = tokens.shape[0]
-    c = tokens.shape[-1] // (p * p)
-    x = tokens.reshape(b, h // p, w // p, p, p, c)
-    x = x.transpose(0, 1, 3, 2, 4, 5)
-    return np.ascontiguousarray(x).reshape(b, h, w, c)
-
-
-def patch_embed(image: np.ndarray, p: int, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flatten non-overlapping patches of one [H, W, 3] image and project to [N, C]."""
-    tok = unfold_patches(image[None], p)[0]
-    return tok @ w + b
-
-
 # ---------------------------------------------------------------------------
 # outer optimizer
 
@@ -287,7 +271,7 @@ def ttt_layer_flops(n: int, dim: int, heads: int, head_archs, inner: InnerTrainC
         ttt_attention(np.zeros((n, dim)), params, inner, grid)
     tape = Tape(record=False)
     kv = tape.leaf(np.zeros((n, params.head_dim)))
-    rate = tape.leaf(np.zeros(n)) if inner.dynamic_lr else None
+    rate = tape.leaf(np.zeros((n, 1))) if inner.dynamic_lr else None
     convention = module = 0
     for name, model in zip(params.head_archs, params.inner):
         arch = get_arch(name)

@@ -152,15 +152,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    out = _sigmoid(x)
-    out *= x
-    _tick(4 * x.size)
-    return out
-
-
 def _shape_compatible(a, b, op: str) -> None:
-    # Only scalar-vs-tensor (or trailing-axis rate) broadcasting is supported.
+    # numpy broadcasting rules; the error names the op
     sa, sb = np.shape(a), np.shape(b)
     if sa == sb or np.size(a) == 1 or np.size(b) == 1:
         return

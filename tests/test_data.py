@@ -3,13 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tttlab.data import (FormatError, augment, load_cifar10,
-                         serialize_cifar10, synth_recall_task,
+from tttlab.data import (FormatError, augment, load_cifar10, synth_recall_task,
                          write_synthetic_cifar)
 
 
 def make_record(label, fill):
     return bytes([label]) + bytes([fill]) * 3072
+
+
+def serialize_cifar10(ds):
+    """Inverse of the loader; byte-identical for data that came from it."""
+    n = len(ds)
+    rec = np.empty((n, 3073), dtype=np.uint8)
+    rec[:, 0] = ds.labels.astype(np.uint8)
+    pix = np.rint(ds.images * 255.0).astype(np.uint8)
+    rec[:, 1:] = pix.transpose(0, 3, 1, 2).reshape(n, -1)
+    return rec.tobytes()
 
 
 class TestCifarLoader:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,6 +73,12 @@ class TestRunConfig:
     def test_wrong_type_rejected(self, doc):
         with pytest.raises(ValueError, match="must be"):
             RunConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type == "float"])
+    def test_non_finite_float_rejected(self, name):
+        for value in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ValueError, match=f"RunConfig.{name} must be float"):
+                RunConfig.from_json(f'{{"{name}": {value}}}')
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError, match="unknown task"):

@@ -179,7 +179,6 @@ class TestElementwiseKernels:
         g = randn(rng, x.shape, dtype)
         s = ref_sigmoid(x)
         assert np.array_equal(T.sigmoid(x), s)
-        assert np.array_equal(T.silu(x), x * s)
         out, node = tape_op(ad.silu, x)
         assert np.array_equal(out, x * s)
         assert np.array_equal(node.vjp(g)[0], g * (s * (1.0 + x * (1.0 - s))))
@@ -410,18 +409,18 @@ class TestDebugCoverage:
         with pytest.raises(T.NonFiniteError, match="^cross_entropy vjp produced"):
             node.vjp(nan_like(node.value))
 
-    def test_colscale(self):
-        with pytest.raises(T.NonFiniteError, match="^colscale produced"):
-            tape_op(ad.colscale, poisoned((2, 4, 3)), np.ones((2, 4)))
-        _, node = tape_op(ad.colscale, np.ones((2, 4, 3)), np.ones((2, 4)))
-        with pytest.raises(T.NonFiniteError, match="^colscale vjp produced"):
+    def test_mul_column(self):
+        with pytest.raises(T.NonFiniteError, match="^mul produced"):
+            tape_op(ad.mul, poisoned((2, 4, 3)), np.ones((2, 4, 1)))
+        _, node = tape_op(ad.mul, np.ones((2, 4, 3)), np.ones((2, 4, 1)))
+        with pytest.raises(T.NonFiniteError, match="^mul vjp produced"):
             node.vjp(nan_like(node.value))
 
-    def test_matscale(self):
-        with pytest.raises(T.NonFiniteError, match="^matscale produced"):
-            tape_op(ad.matscale, poisoned((2, 4, 3)), np.ones(2))
-        _, node = tape_op(ad.matscale, np.ones((2, 4, 3)), np.ones(2))
-        with pytest.raises(T.NonFiniteError, match="^matscale vjp produced"):
+    def test_mul_matrix_scalar(self):
+        with pytest.raises(T.NonFiniteError, match="^mul produced"):
+            tape_op(ad.mul, poisoned((2, 4, 3)), np.ones((2, 1, 1)))
+        _, node = tape_op(ad.mul, np.ones((2, 4, 3)), np.ones((2, 1, 1)))
+        with pytest.raises(T.NonFiniteError, match="^mul vjp produced"):
             node.vjp(nan_like(node.value))
 
     def test_add(self):
@@ -467,12 +466,12 @@ class TestDebugCoverage:
         with pytest.raises(T.NonFiniteError, match="^abs vjp produced"):
             node.vjp(nan_like(node.value))
 
-    @pytest.mark.parametrize("op", ["sum_all", "sum_last", "sum_last2", "mean_tokens"])
+    @pytest.mark.parametrize("op", ["sum_all", "sum_last2", "mean_tokens"])
     def test_reduction(self, op):
         with pytest.raises(T.NonFiniteError, match=f"^{op} produced"):
             tape_op(getattr(ad, op), poisoned((2, 4, 3)))
 
-    @pytest.mark.parametrize("op", ["sum_all", "sum_last", "sum_last2", "mean_tokens"])
+    @pytest.mark.parametrize("op", ["sum_all", "sum_last2", "mean_tokens"])
     def test_reduction_vjp(self, op):
         _, node = tape_op(getattr(ad, op), np.ones((2, 4, 3)))
         with pytest.raises(T.NonFiniteError, match=f"^{op} vjp produced"):

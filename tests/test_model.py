@@ -10,12 +10,30 @@ from tttlab.autodiff import Tape, gradcheck
 from tttlab.inner import ARCH_NAMES, LOSSES, InnerTrainConfig
 from tttlab.layer import TTTLayerParams, softmax_attention, ttt_attention
 from tttlab.model import (Model, ModelConfig, OptState, adamw_step,
-                          cosine_warmup_lr, flops_estimate, fold_patches,
-                          forward_classifier, load_checkpoint,
-                          patch_embed, save_checkpoint, ttt_block_nodes,
+                          cosine_warmup_lr, flops_estimate, forward_classifier,
+                          load_checkpoint, save_checkpoint, ttt_block_nodes,
                           ttt_layer_flops, unfold_patches)
 
 RNG = np.random.default_rng(41)
+
+
+def fold_patches(tokens, p, hw):
+    """Inverse of unfold_patches."""
+    h, w = hw
+    b = tokens.shape[0]
+    c = tokens.shape[-1] // (p * p)
+    x = tokens.reshape(b, h // p, w // p, p, p, c)
+    x = x.transpose(0, 1, 3, 2, 4, 5)
+    return np.ascontiguousarray(x).reshape(b, h, w, c)
+
+
+def patch_embed(image, p, w, b):
+    """Flatten non-overlapping patches of one [H, W, 3] image and project to [N, C]."""
+    return unfold_patches(image[None], p)[0] @ w + b
+
+
+def silu(z):
+    return z / (1.0 + np.exp(-z))
 
 
 class TestPatchEmbed:
@@ -109,7 +127,7 @@ class TestBlock:
         x = x + ttt_attention(ln(x, p["b0.ln1.g"], p["b0.ln1.b"]), lay, cfg.inner,
                               grid=(8, 8))
         h = ln(x, p["b0.ln2.g"], p["b0.ln2.b"])
-        x = x + T.silu(h @ p["b0.mlp.w1"] + p["b0.mlp.b1"]) @ p["b0.mlp.w2"] + p["b0.mlp.b2"]
+        x = x + silu(h @ p["b0.mlp.w1"] + p["b0.mlp.b1"]) @ p["b0.mlp.w2"] + p["b0.mlp.b2"]
         want = x.mean(axis=0) @ p["head.w"] + p["head.b"]
         assert np.abs(got - want).max() < 1e-10
 

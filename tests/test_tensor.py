@@ -131,10 +131,10 @@ def _value(op, *values):
 
 class TestElementwise:
     def test_silu_fixed_point(self):
-        assert T.silu(np.array([0.0]))[0] == 0.0
+        assert _value(ad.silu, np.array([0.0]))[0] == 0.0
 
     def test_silu_at_one(self):
-        assert abs(T.silu(np.array([1.0]))[0] - 1 / (1 + np.exp(-1))) < 1e-12
+        assert abs(_value(ad.silu, np.array([1.0]))[0] - 1 / (1 + np.exp(-1))) < 1e-12
 
     def test_sigmoid_symmetry(self):
         assert T.sigmoid(np.array([0.0]))[0] == 0.5
@@ -142,7 +142,7 @@ class TestElementwise:
     def test_silu_prime_matches_difference_quotient(self):
         x = np.linspace(-3, 3, 11)
         eps = 1e-6
-        num = (T.silu(x + eps) - T.silu(x - eps)) / (2 * eps)
+        num = (_value(ad.silu, x + eps) - _value(ad.silu, x - eps)) / (2 * eps)
         assert np.abs(_value(ad.silu_prime, x) - num).max() < 1e-8
 
     def test_silu_second_matches_difference_quotient(self):
