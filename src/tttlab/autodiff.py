@@ -23,11 +23,15 @@ A `Tape(record=False)` runs the same ops on the same values but records
 nothing: its nodes keep no inputs and no vjp and are not listed, so each
 intermediate is freed as soon as the next op no longer needs it. Helpers that
 only want a forward value build on it.
+
+`Tape.tracing()` lists the ops pushed inside it with their inputs, on either
+kind of tape, so a caller can walk back over one forward it ran.
 """
 
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -50,7 +54,7 @@ class _SpentTape:
         raise ContractError("this node's tape was spent by backward, released or "
                             "dropped by its owner; record the computation on a new Tape")
 
-    leaf = push = _refuse
+    leaf = push = tracing = _refuse
 
 
 _SPENT = _SpentTape()
@@ -106,6 +110,7 @@ class Tape:
         self.params: dict[str, Node] = {}
         self.record = record
         self.spent = False
+        self.trace: list | None = None
         self._ref = weakref.ref(self)
 
     def leaf(self, value: np.ndarray, name: str | None = None, param: bool = False) -> Node:
@@ -135,11 +140,23 @@ class Tape:
             if self.record:
                 vjp = _checked_vjp(vjp, f"{op} vjp")
         if not self.record:
-            return Node(self._ref, None, value, (), None, False, op)
-        requires = any(n.requires for n in inputs)
-        node = Node(self._ref, len(self.nodes), value, tuple(inputs), vjp, requires, op)
-        self.nodes.append(node)
+            node = Node(self._ref, None, value, (), None, False, op)
+        else:
+            requires = any(n.requires for n in inputs)
+            node = Node(self._ref, len(self.nodes), value, tuple(inputs), vjp, requires, op)
+            self.nodes.append(node)
+        if self.trace is not None:
+            self.trace.append((node, inputs))
         return node
+
+    @contextmanager
+    def tracing(self):
+        """Yield a list of (node, inputs) for each op pushed in the block; no nesting."""
+        self.trace = ops = []
+        try:
+            yield ops
+        finally:
+            self.trace = None
 
     def release(self) -> None:
         """Spend the graph: cut every node's link to this tape, drop its vjp and inputs.
@@ -492,16 +509,6 @@ def sign(a: Node) -> Node:
     return a.tape.push(out, (a,), vjp, "sign")
 
 
-def abs_(a: Node) -> Node:
-    T._tick(a.value.size)
-    out = np.abs(a.value)
-
-    def vjp(g):
-        return (g * np.sign(a.value),)
-
-    return a.tape.push(out, (a,), vjp, "abs")
-
-
 def sqrt_(a: Node) -> Node:
     T._tick(a.value.size)
     out = np.sqrt(a.value)
@@ -528,19 +535,6 @@ def clip_min(a: Node, c: float) -> Node:
         return (g * (a.value > c),)
 
     return a.tape.push(out, (a,), vjp, "clip_min")
-
-
-def huber(a: Node) -> Node:
-    """Smooth-L1 kernel l(x) = x^2/2 inside |x|<1, |x| - 1/2 outside."""
-    x = a.value
-    inside = np.abs(x) < 1.0
-    out = np.where(inside, 0.5 * x * x, np.abs(x) - 0.5)
-    T._tick(3 * x.size)
-
-    def vjp(g):
-        return (g * np.where(inside, x, np.sign(x)),)
-
-    return a.tape.push(out, (a,), vjp, "huber")
 
 
 def huber_prime(a: Node) -> Node:

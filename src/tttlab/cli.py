@@ -71,8 +71,12 @@ def _runconfig(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    rc = _runconfig(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        rc = _runconfig(args)
+    except ValueError as e:
+        parser.error(str(e))
     if args.command == "train":
         report = cmd_train(rc)
         print(f"final_acc={report['final_acc']:.4f} csv={report['csv']} "

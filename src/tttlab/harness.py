@@ -501,7 +501,7 @@ def loglog_slope(ns, ts) -> float:
 # gradcheck command
 
 def _kink_distance(tape: Tape) -> float:
-    """Distance of every sign/huber input from its non-differentiable set.
+    """Distance of every sign/huber_prime input from its non-differentiable set.
 
     Central differences are only meaningful at points where the piecewise
     losses are locally smooth; cells are resampled until clear of the kinks.
@@ -510,7 +510,7 @@ def _kink_distance(tape: Tape) -> float:
     for node in tape.nodes:
         if node.op == "sign":
             dist = min(dist, float(np.abs(node.inputs[0].value).min()))
-        elif node.op in ("huber", "huber_prime"):
+        elif node.op == "huber_prime":
             gap = np.abs(np.abs(node.inputs[0].value) - 1.0)
             dist = min(dist, float(gap.min()))
     return dist

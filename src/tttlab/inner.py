@@ -2,8 +2,10 @@
 
 The inner model F_W maps R^d -> R^d; its weights are fitted to (K, V) token
 pairs by a few explicit gradient steps. Every step is expressed in tape
-primitives, with the weight gradient written analytically per architecture,
-so outer-loop gradients flow through the unrolled updates in one reverse pass.
+primitives, so outer-loop gradients flow through the unrolled updates in one
+reverse pass. An architecture states only its forward; its weight gradient
+is derived from that forward's traced ops, one rule per op (`_weight_grads`),
+while the loss gradients stay analytic.
 
 Loss convention: all five losses carry the 1/(B*sqrt(d)) scale, so an inner
 learning rate of 1.0 is a meaningful default.
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tensor as T
-from .autodiff import Node, Tape
+from .autodiff import ContractError, Node, Tape
 
 LOSSES = ("dot", "mse", "rmse", "mae", "smooth_l1")
 
@@ -35,31 +37,14 @@ class DivergenceError(FloatingPointError):
     """Inner weights left the finite range (the divergence sentinel)."""
 
 
-def _norm(vhat: Node) -> float:
-    b, d = vhat.value.shape[-2], vhat.value.shape[-1]
-    return 1.0 / (b * math.sqrt(d))
-
-
-def loss_value(kind: str, vhat: Node, v: Node) -> Node:
-    """Per-sequence inner loss (scalar for [B,d] inputs, [..] batched)."""
-    c = _norm(vhat)
-    if kind == "dot":
-        return ad.scale(ad.sum_last2(ad.mul(vhat, v)), -c)
-    e = ad.sub(vhat, v)
-    if kind == "mse":
-        return ad.scale(ad.sum_last2(ad.mul(e, e)), 0.5 * c)
-    if kind == "rmse":
-        return ad.sqrt_(ad.clip_min(ad.scale(ad.sum_last2(ad.mul(e, e)), c), RMSE_EPS))
-    if kind == "mae":
-        return ad.scale(ad.sum_last2(ad.abs_(e)), c)
-    if kind == "smooth_l1":
-        return ad.scale(ad.sum_last2(ad.huber(e)), c)
-    raise ValueError(f"unknown inner loss {kind!r}")
+def _norm(shape: tuple) -> float:
+    """The 1/(B*sqrt(d)) loss scale of [.., B, d] rows."""
+    return 1.0 / (shape[-2] * math.sqrt(shape[-1]))
 
 
 def loss_grad(kind: str, vhat: Node, v: Node) -> Node:
     """Analytic dL/dVhat as a tape expression (so d2L/dVhat dV flows outward)."""
-    c = _norm(vhat)
+    c = _norm(vhat.value.shape)
     if kind == "dot":
         return ad.scale(v, -c)
     e = ad.sub(vhat, v)
@@ -76,22 +61,35 @@ def loss_grad(kind: str, vhat: Node, v: Node) -> Node:
     raise ValueError(f"unknown inner loss {kind!r}")
 
 
-def inner_loss(kind: str, vhat: np.ndarray, v: np.ndarray) -> float:
-    if vhat.shape != v.shape:
-        raise T.DimensionError(f"loss shapes differ: {vhat.shape} vs {v.shape}")
-    t = Tape(record=False)
-    return float(loss_value(kind, t.leaf(vhat), t.leaf(v)).value)
-
-
 def inner_loss_grad(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarray:
     t = Tape(record=False)
     return loss_grad(kind, t.leaf(vhat), t.leaf(v)).value
 
 
+def inner_loss(kind: str, vhat: np.ndarray, v: np.ndarray) -> float:
+    """Per-sequence inner loss of [B, d] rows."""
+    if vhat.shape != v.shape:
+        raise T.DimensionError(f"loss shapes differ: {vhat.shape} vs {v.shape}")
+    c = _norm(vhat.shape)
+    if kind == "dot":
+        return float((vhat * v).sum() * -c)
+    e = vhat - v
+    if kind == "mse":
+        return float((e * e).sum() * (0.5 * c))
+    if kind == "rmse":
+        return float(np.sqrt(np.maximum((e * e).sum() * c, RMSE_EPS)))
+    a = np.abs(e)
+    if kind == "mae":
+        return float(a.sum() * c)
+    if kind == "smooth_l1":
+        # the huber kernel: e^2/2 inside |e| < 1, |e| - 1/2 outside
+        return float(np.where(a < 1.0, 0.5 * e * e, a - 0.5).sum() * c)
+    raise ValueError(f"unknown inner loss {kind!r}")
+
+
 def mixed_second_derivative(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Entrywise d2L / (dV_ij dVhat_ij) in closed form (defined a.e. for mae/smooth_l1)."""
-    b, d = vhat.shape[-2], vhat.shape[-1]
-    c = 1.0 / (b * math.sqrt(d))
+    c = _norm(vhat.shape)
     if kind in ("dot", "mse"):
         return np.full_like(vhat, -c)
     e = vhat - v
@@ -122,12 +120,11 @@ def partition_batches(n: int, parts: int) -> list[tuple[int, int]]:
 # inner architectures
 
 class InnerArch:
-    """One F_W architecture: init, and a forward that returns its pullback.
+    """One F_W architecture: its weight shapes, init, forward and context.
 
-    `forward_pullback` runs the forward once on token rows [.., B, d] and
-    returns (out, pullback); `pullback(dvhat)` builds the analytic weight
-    gradients as tape expressions from that forward's own nodes. Conv
-    architectures additionally need the (H, W) grid the rows raster-scan.
+    `forward` maps token rows [.., B, d] to [.., B, d]; conv architectures
+    also need the (H, W) grid the rows raster-scan. An architecture states
+    only its forward: `forward_pullback` derives the weight gradients from it.
     """
 
     name: str = ""
@@ -144,16 +141,76 @@ class InnerArch:
             ws.append(rng.uniform(-bound, bound, size=shape).astype(dtype))
         return ws
 
-    def forward_pullback(self, ws: list[Node], x: Node,
-                         grid=None) -> tuple[Node, Callable[[Node], list[Node]]]:
+    def forward(self, ws: list[Node], x: Node, grid=None) -> Node:
         raise NotImplementedError
 
-    def forward(self, ws: list[Node], x: Node, grid=None) -> Node:
-        return self.forward_pullback(ws, x, grid)[0]
+    def forward_pullback(self, ws: list[Node], x: Node,
+                         grid=None) -> tuple[Node, Callable[[Node], list[Node]]]:
+        """Run the forward once; return (out, pullback).
+
+        `pullback(dvhat)` builds the gradients of sum(out * dvhat) w.r.t. ws
+        as tape expressions of this forward's own nodes (`_weight_grads`).
+        """
+        with x.tape.tracing() as ops:
+            out = self.forward(ws, x, grid)
+        return out, lambda dv: _weight_grads(ops, ws, out, dv)
 
     def context(self, lo: int, hi: int, grid=None) -> tuple[int, int]:
         """Token rows [clo, chi) whose inputs determine the outputs [lo, hi)."""
         return lo, hi
+
+
+def _weight_grads(ops: list, ws: list[Node], out: Node, dv: Node) -> list[Node]:
+    """Cotangents of ws from the traced ops of one forward, one rule per op.
+
+    Walks the ops in reverse from out's cotangent dv, and sends cotangents
+    only to the nodes that depend on a weight. A node reached from several
+    consumers sums its cotangents with `ad.add`.
+    """
+    dep = set(ws)
+    for node, inputs in ops:
+        if not dep.isdisjoint(inputs):
+            dep.add(node)
+    cot = {out: dv}
+    transposed = {}
+
+    def t(a):                       # one transpose per node, shared by its uses
+        if a not in transposed:
+            transposed[a] = ad.transpose(a)
+        return transposed[a]
+
+    def send(a, g):
+        cot[a] = g if a not in cot else ad.add(cot[a], g)
+
+    for node, inputs in reversed(ops):
+        g = cot.pop(node, None)
+        if g is None:
+            continue
+        op, (a, b) = node.op, (*inputs, None)[:2]
+        if op == "matmul":
+            # the weight's cotangent first: it fixes the order of dv's consumers
+            if b in dep:
+                send(b, ad.matmul(t(a), g))
+            if a in dep:
+                send(a, ad.matmul(g, t(b)))
+        elif op in ("mul", "add") and a.value.shape == b.value.shape:
+            for c, other in ((a, b), (b, a)):
+                if c in dep:
+                    send(c, g if op == "add" else ad.mul(g, other))
+        elif op == "silu":
+            send(a, ad.mul(g, ad.silu_prime(a)))
+        elif op == "reshape":
+            send(a, ad.reshape(g, a.value.shape))
+        elif op in ("conv3x3", "dwconv3x3") and a not in dep:
+            wgrad = ad.conv3x3_wgrad if op == "conv3x3" else ad.dwconv3x3_wgrad
+            gk = wgrad(a, g)                # per sample; an unbatched grid has one
+            if a.value.ndim == 3:
+                gk = ad.reshape(gk, gk.value.shape[1:])
+            send(b, gk)
+        else:
+            raise ContractError(f"no weight-gradient rule for {op!r} with these operands "
+                                "on a weight's path")
+    return [cot[w] for w in ws]
 
 
 class FC(InnerArch):
@@ -162,11 +219,8 @@ class FC(InnerArch):
     def weight_shapes(self, d):
         return [(d, d)]
 
-    def forward_pullback(self, ws, x, grid=None):
-        def pullback(dv):
-            return [ad.matmul(ad.transpose(x), dv)]
-
-        return ad.matmul(x, ws[0]), pullback
+    def forward(self, ws, x, grid=None):
+        return ad.matmul(x, ws[0])
 
 
 class SiLUFC(InnerArch):
@@ -175,13 +229,8 @@ class SiLUFC(InnerArch):
     def weight_shapes(self, d):
         return [(d, d)]
 
-    def forward_pullback(self, ws, x, grid=None):
-        z = ad.matmul(x, ws[0])
-
-        def pullback(dv):
-            return [ad.matmul(ad.transpose(x), ad.mul(dv, ad.silu_prime(z)))]
-
-        return ad.silu(z), pullback
+    def forward(self, ws, x, grid=None):
+        return ad.silu(ad.matmul(x, ws[0]))
 
 
 class MLP(InnerArch):
@@ -200,22 +249,11 @@ class MLP(InnerArch):
             return [(d, h), (h, d)]
         return [(d, h), (h, h), (h, d)]
 
-    def forward_pullback(self, ws, x, grid=None):
-        zs, hs = [], [x]                 # pre-activations, layer inputs
+    def forward(self, ws, x, grid=None):
+        h = x
         for w in ws[:-1]:
-            zs.append(ad.matmul(hs[-1], w))
-            hs.append(ad.silu(zs[-1]))
-
-        def pullback(dv):
-            grads = [ad.matmul(ad.transpose(hs[-1]), dv)]
-            da = dv
-            for j in reversed(range(len(zs))):
-                dh = ad.matmul(da, ad.transpose(ws[j + 1]))
-                da = ad.mul(dh, ad.silu_prime(zs[j]))
-                grads.insert(0, ad.matmul(ad.transpose(hs[j]), da))
-            return grads
-
-        return ad.matmul(hs[-1], ws[-1]), pullback
+            h = ad.silu(ad.matmul(h, w))
+        return ad.matmul(h, ws[-1])
 
 
 class MLPResidual(MLP):
@@ -225,9 +263,8 @@ class MLPResidual(MLP):
         super().__init__(ratio=1, layers=2)
         self.name = "mlp_residual"
 
-    def forward_pullback(self, ws, x, grid=None):
-        out, pullback = super().forward_pullback(ws, x, grid)
-        return ad.add(out, x), pullback
+    def forward(self, ws, x, grid=None):
+        return ad.add(super().forward(ws, x, grid), x)
 
 
 class MLPPlusIdentity(MLP):
@@ -237,16 +274,9 @@ class MLPPlusIdentity(MLP):
         super().__init__(ratio=1, layers=2)
         self.name = "mlp_w2_plus_i"
 
-    def forward_pullback(self, ws, x, grid=None):
-        z = ad.matmul(x, ws[0])
-        h = ad.silu(z)
-
-        def pullback(dv):
-            dw2 = ad.matmul(ad.transpose(h), dv)
-            dh = ad.add(ad.matmul(dv, ad.transpose(ws[1])), dv)
-            return [ad.matmul(ad.transpose(x), ad.mul(dh, ad.silu_prime(z))), dw2]
-
-        return ad.add(ad.matmul(h, ws[1]), h), pullback
+    def forward(self, ws, x, grid=None):
+        h = ad.silu(ad.matmul(x, ws[0]))
+        return ad.add(ad.matmul(h, ws[1]), h)
 
 
 class MLPIdentityInit(MLP):
@@ -270,21 +300,10 @@ class SwiGLU(InnerArch):
     def weight_shapes(self, d):
         return [(d, d), (d, d), (d, d)]
 
-    def forward_pullback(self, ws, x, grid=None):
+    def forward(self, ws, x, grid=None):
         a = ad.matmul(x, ws[0])
         b = ad.matmul(x, ws[1])
-        sa = ad.silu(a)
-        h = ad.mul(sa, b)
-
-        def pullback(dv):
-            dw3 = ad.matmul(ad.transpose(h), dv)
-            dh = ad.matmul(dv, ad.transpose(ws[2]))
-            xt = ad.transpose(x)
-            dw2 = ad.matmul(xt, ad.mul(dh, sa))
-            dw1 = ad.matmul(xt, ad.mul(ad.mul(dh, b), ad.silu_prime(a)))
-            return [dw1, dw2, dw3]
-
-        return ad.matmul(h, ws[2]), pullback
+        return ad.matmul(ad.mul(ad.silu(a), b), ws[2])
 
 
 class GatedFC(InnerArch):
@@ -295,28 +314,9 @@ class GatedFC(InnerArch):
     def weight_shapes(self, d):
         return [(d, d), (d, d)]
 
-    def forward_pullback(self, ws, x, grid=None):
+    def forward(self, ws, x, grid=None):
         za = ad.matmul(x, ws[0])
-        zb = ad.matmul(x, ws[1])
-        sb = ad.silu(zb)
-
-        def pullback(dv):
-            xt = ad.transpose(x)
-            return [ad.matmul(xt, ad.mul(dv, sb)),
-                    ad.matmul(xt, ad.mul(ad.mul(dv, za), ad.silu_prime(zb)))]
-
-        return ad.mul(za, sb), pullback
-
-
-def _to_grid(x: Node, grid) -> Node:
-    hp, wp = grid
-    lead = x.value.shape[:-2]
-    return ad.reshape(x, (*lead, hp, wp, x.value.shape[-1]))
-
-
-def _to_rows(x: Node) -> Node:
-    *lead, hp, wp, d = x.value.shape
-    return ad.reshape(x, (*lead, hp * wp, d))
+        return ad.mul(za, ad.silu(ad.matmul(x, ws[1])))
 
 
 class Conv3x3(InnerArch):
@@ -329,21 +329,12 @@ class Conv3x3(InnerArch):
     def weight_shapes(self, d):
         return [(3, 3, d, d)]
 
-    def forward_pullback(self, ws, x, grid=None):
-        if grid is None or grid[0] * grid[1] != x.value.shape[-2]:
-            raise T.GridError(
-                f"{self.name} needs a grid matching {x.value.shape[-2]} tokens, got {grid}")
-        conv, wgrad = ((ad.dwconv3x3, ad.dwconv3x3_wgrad) if self.depthwise
-                       else (ad.conv3x3, ad.conv3x3_wgrad))
-        xg = _to_grid(x, grid)
-
-        def pullback(dv):
-            g = wgrad(xg, _to_grid(dv, grid))
-            if x.value.ndim == 2:
-                g = ad.reshape(g, g.value.shape[1:])
-            return [g]
-
-        return _to_rows(conv(xg, ws[0])), pullback
+    def forward(self, ws, x, grid=None):
+        *lead, n, d = x.value.shape
+        if grid is None or grid[0] * grid[1] != n:
+            raise T.GridError(f"{self.name} needs a grid matching {n} tokens, got {grid}")
+        conv = ad.dwconv3x3 if self.depthwise else ad.conv3x3
+        return ad.reshape(conv(ad.reshape(x, (*lead, *grid, d)), ws[0]), x.value.shape)
 
     def context(self, lo, hi, grid=None):
         # the grid rows of [lo, hi) plus the row above and below that a 3x3 tap

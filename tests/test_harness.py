@@ -375,6 +375,19 @@ class TestCli:
             argv += ["--config", str(tmp_path / "cfg.json")]
         assert cli.main(argv) == 0 and seen == [threads]
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--inner-lr", "nan"], "inner_lr must be float, got nan"),
+        (["--inner-parts", "99"], "inner_parts 99 exceeds the 17 tokens"),
+    ])
+    def test_bad_flag_value_is_a_usage_error(self, capsys, flag, message):
+        # a value the config rejects exits like an unknown flag: status 2, no traceback
+        from tttlab.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["train", *flag])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert message in err and "Traceback" not in err
+
     def test_bench_cli(self, tmp_path):
         from tttlab.cli import main
         code = main(["bench", "--out", str(tmp_path / "b"), "--lengths", "64,128",

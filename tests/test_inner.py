@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from tttlab import autodiff as ad
 from tttlab import tensor as T
-from tttlab.autodiff import Tape
-from tttlab.inner import (ARCH_NAMES, DivergenceError, InnerModel,
+from tttlab.autodiff import ContractError, Tape
+from tttlab.inner import (ARCH_NAMES, DivergenceError, InnerArch, InnerModel,
                           InnerTrainConfig, PartitionError, dynamic_rate,
                           get_arch, inner_forward, inner_loss, inner_loss_grad,
                           inner_update, inner_update_nodes, loss_grad,
@@ -355,6 +355,60 @@ class TestForwardOnce:
                     and node.inputs[1] is w and reads_k(node.inputs[0]))
                 for w in ws]
         assert uses[0] == 1 and max(uses) == 1
+
+
+def derived_and_backward_grads(name, lead, record):
+    """An arch's derived weight gradients for a cotangent dv, and Tape.backward's
+    gradients of sum(forward * dv), which the ops' own vjps compute."""
+    arch = get_arch(name)
+    rng = np.random.default_rng(13)
+    w0 = arch.init(rng, 3)
+    x0 = rng.standard_normal((*lead, 9, 3))
+    dv0 = rng.standard_normal((*lead, 9, 3))
+    t = Tape(record=record)
+    out, pullback = arch.forward_pullback([t.leaf(w) for w in w0], t.leaf(x0), (3, 3))
+    derived = [g.value for g in pullback(t.leaf(dv0))]
+    t = Tape()
+    ws = [t.leaf(w, name=f"w{j}", param=True) for j, w in enumerate(w0)]
+    root = ad.sum_all(ad.mul(arch.forward(ws, t.leaf(x0), (3, 3)), t.leaf(dv0)))
+    grads = t.backward(root)
+    return derived, [grads[f"w{j}"] for j in range(len(w0))]
+
+
+class TestDerivedWeightGrads:
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("name", ARCH_NAMES)
+    def test_unbatched_equals_backward(self, name, record):
+        derived, expect = derived_and_backward_grads(name, (), record)
+        for g, e in zip(derived, expect, strict=True):
+            assert g.shape == e.shape and np.array_equal(g, e)
+
+    @pytest.mark.parametrize("name", ARCH_NAMES)
+    def test_batched_sums_to_backward(self, name):
+        # per-sample gradients; backward sums the batch inside one GEMM instead
+        derived, expect = derived_and_backward_grads(name, (2,), True)
+        for g, e in zip(derived, expect, strict=True):
+            assert g.shape == (2, *e.shape)
+            assert np.abs(g.sum(axis=0) - e).max() <= 1e-12 * np.abs(e).max()
+
+    @pytest.mark.parametrize("name", ARCH_NAMES)
+    def test_no_arch_writes_its_own_pullback(self, name):
+        assert type(get_arch(name)).forward_pullback is InnerArch.forward_pullback
+
+    @pytest.mark.parametrize("op, fwd", [
+        ("sigmoid", lambda ws, x: ad.sigmoid(ad.matmul(x, ws[0]))),
+        ("add", lambda ws, x: ad.add(ad.matmul(x, ws[0]), ws[1])),     # a broadcast bias
+    ])
+    def test_op_without_a_rule_is_named(self, op, fwd):
+        class Arch(InnerArch):
+            def forward(self, ws, x, grid=None):
+                return fwd(ws, x)
+
+        t = Tape()
+        ws = [t.leaf(np.eye(3)), t.leaf(np.ones(3))]
+        out, pullback = Arch().forward_pullback(ws, t.leaf(RNG.standard_normal((4, 3))))
+        with pytest.raises(ContractError, match=f"'{op}'"):
+            pullback(t.leaf(np.ones((4, 3))))
 
 
 def full_grid_update(arch, ws, k, v, cfg, rate, grid):

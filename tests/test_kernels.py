@@ -387,13 +387,6 @@ class TestDebugCoverage:
         with pytest.raises(T.NonFiniteError, match="^clip_min vjp produced"):
             node.vjp(nan_like(node.value))
 
-    def test_huber(self):
-        with pytest.raises(T.NonFiniteError, match="^huber produced"):
-            tape_op(ad.huber, poisoned((4, 6)))
-        _, node = tape_op(ad.huber, np.ones((4, 6)))
-        with pytest.raises(T.NonFiniteError, match="^huber vjp produced"):
-            node.vjp(nan_like(node.value))
-
     def test_huber_prime(self):
         with pytest.raises(T.NonFiniteError, match="^huber_prime produced"):
             tape_op(ad.huber_prime, poisoned((4, 6)))
@@ -457,13 +450,6 @@ class TestDebugCoverage:
     def test_sqrt(self):
         _, node = tape_op(ad.sqrt_, np.ones((4, 6)))
         with pytest.raises(T.NonFiniteError, match="^sqrt vjp produced"):
-            node.vjp(nan_like(node.value))
-
-    def test_abs(self):
-        with pytest.raises(T.NonFiniteError, match="^abs produced"):
-            tape_op(ad.abs_, poisoned((4, 6)))
-        _, node = tape_op(ad.abs_, np.ones((4, 6)))
-        with pytest.raises(T.NonFiniteError, match="^abs vjp produced"):
             node.vjp(nan_like(node.value))
 
     @pytest.mark.parametrize("op", ["sum_all", "sum_last2", "mean_tokens"])
