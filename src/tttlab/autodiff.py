@@ -416,6 +416,18 @@ def concat_last(parts: list[Node]) -> Node:
     return parts[0].tape.push(out, tuple(parts), vjp, "concat_last")
 
 
+def patches(x: Node) -> Node:
+    """im2col of an [.., H, W, C] grid into [.., H*W, 9C] rows: a full 3x3 conv is
+    patches followed by a matmul. A copy, so it counts no FLOPs."""
+    shape = x.value.shape
+    out = T.patches(x.value)
+
+    def vjp(g):
+        return (T.unpatch(g, shape) if x.requires else None,)
+
+    return x.tape.push(out, (x,), vjp, "patches")
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -618,19 +630,6 @@ def dwconv3x3(x: Node, k: Node) -> Node:
     return x.tape.push(out, (x, k), vjp, "dwconv3x3")
 
 
-def conv3x3(x: Node, k: Node) -> Node:
-    """Full 3x3 conv on [b,H,W,C]; kernel [3,3,Ci,Co] or per-sample [b,3,3,Ci,Co]."""
-    xv, kv = x.value, k.value
-    out = T.conv3x3_full(xv, kv)
-
-    def vjp(g):
-        dx = T.conv3x3_full(g, T.flip_full(kv)) if x.requires else None
-        dk = T.conv3x3_full_wgrad(xv, g, per_sample=(kv.ndim == 5)) if k.requires else None
-        return dx, dk
-
-    return x.tape.push(out, (x, k), vjp, "conv3x3")
-
-
 def dwconv3x3_wgrad(x: Node, g_in: Node) -> Node:
     """Per-sample kernel gradient of a depthwise conv, as a differentiable forward op."""
     xv, gv = x.value, g_in.value
@@ -642,19 +641,6 @@ def dwconv3x3_wgrad(x: Node, g_in: Node) -> Node:
         return dx, dg
 
     return x.tape.push(out, (x, g_in), vjp, "dwconv3x3_wgrad")
-
-
-def conv3x3_wgrad(x: Node, g_in: Node) -> Node:
-    """Per-sample kernel gradient of a full conv, as a differentiable forward op."""
-    xv, gv = x.value, g_in.value
-    out = T.conv3x3_full_wgrad(xv, gv, per_sample=True)
-
-    def vjp(ct):
-        dx = T.conv3x3_full(gv, T.flip_full(ct)) if x.requires else None
-        dg = T.conv3x3_full(xv, ct) if g_in.requires else None
-        return dx, dg
-
-    return x.tape.push(out, (x, g_in), vjp, "conv3x3_wgrad")
 
 
 # ---------------------------------------------------------------------------

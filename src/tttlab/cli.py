@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .harness import (RunConfig, cmd_ablate, cmd_bench, cmd_gradcheck,
+from .harness import (RunConfig, ablation_cells, cmd_ablate, cmd_bench, cmd_gradcheck,
                       cmd_lossreport, cmd_train)
 
 
@@ -70,6 +70,17 @@ def _runconfig(args) -> RunConfig:
     return rc.validate()
 
 
+def _ablation_grid(arg: str | None) -> dict | None:
+    """The --grid axes, inline JSON or a JSON file; None keeps the default grid."""
+    if not arg:
+        return None
+    try:
+        return json.loads(arg)
+    except json.JSONDecodeError:
+        with open(arg) as fp:
+            return json.load(fp)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -83,13 +94,11 @@ def main(argv=None) -> int:
               f"checkpoint={report['checkpoint']}")
         return 3 if report["diverged"] else 0
     if args.command == "ablate":
-        grid = None
-        if args.grid:
-            try:
-                grid = json.loads(args.grid)
-            except json.JSONDecodeError:
-                with open(args.grid) as fp:
-                    grid = json.load(fp)
+        try:
+            grid = _ablation_grid(args.grid)
+            ablation_cells(rc, grid)        # a bad grid is refused before any cell runs
+        except (OSError, ValueError) as e:
+            parser.error(str(e))
         report = cmd_ablate(rc, grid)
         print(f"wrote {len(report['rows'])} cells to {report['csv']}")
         return 0

@@ -16,7 +16,7 @@ import numpy as np
 
 CIFAR_CLASSES = 10
 _REC = 3073
-_IMG = 32
+CIFAR_SIDE = 32
 
 # applied by the trainer, not the loader (keeps the loader bit-exact)
 CIFAR_MEAN = np.array([0.4914, 0.4822, 0.4465], dtype=np.float32)
@@ -44,7 +44,7 @@ def _parse_records(raw: bytes, source: str) -> Dataset:
     labels = rec[:, 0].astype(np.int64)
     if labels.size and labels.max() >= CIFAR_CLASSES:
         raise FormatError(f"{source}: label {labels.max()} out of range")
-    planes = rec[:, 1:].reshape(-1, 3, _IMG, _IMG)
+    planes = rec[:, 1:].reshape(-1, 3, CIFAR_SIDE, CIFAR_SIDE)
     images = planes.transpose(0, 2, 3, 1).astype(np.float32) / 255.0
     return Dataset(images=np.ascontiguousarray(images), labels=labels)
 
@@ -168,7 +168,7 @@ def write_synthetic_cifar(dirpath: str, seed: int = 0, n_train: int = 5000,
     rng = np.random.default_rng(seed)
     per = [(f"data_batch_{i}.bin", n_train // 5) for i in range(1, 6)]
     per.append(("test_batch.bin", n_test))
-    yy, xx = np.mgrid[0:_IMG, 0:_IMG].astype(np.float32)
+    yy, xx = np.mgrid[0:CIFAR_SIDE, 0:CIFAR_SIDE].astype(np.float32)
     for name, count in per:
         rec = np.empty((count, _REC), dtype=np.uint8)
         for i in range(count):
@@ -192,7 +192,7 @@ def _synth_image(label: int, rng: np.random.Generator, yy, xx) -> np.ndarray:
     else:
         # five blob/checker layouts
         k = label - 5
-        cx = _IMG / 2 + ox, _IMG / 2 + oy
+        cx = CIFAR_SIDE / 2 + ox, CIFAR_SIDE / 2 + oy
         r2 = (xx - cx[0]) ** 2 + (yy - cx[1]) ** 2
         if k == 0:
             base = 0.5 + 0.4 * np.cos(np.sqrt(r2) * freq + phase)

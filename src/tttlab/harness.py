@@ -150,6 +150,22 @@ class RunConfig:
         if self.inner_parts > tokens:
             raise ValueError(f"inner_parts {self.inner_parts} exceeds the {tokens} tokens "
                              f"of a {self.task} sample")
+        if self.task == "recall":
+            grid_heads = [a for a in self.head_archs if get_arch(a).requires_grid]
+            if grid_heads:
+                raise ValueError(f"head_archs {grid_heads} need an image grid, which a "
+                                 "recall sequence does not have")
+            return self
+        if self.image_size != D.CIFAR_SIDE:
+            raise ValueError(f"image_size {self.image_size} must be {D.CIFAR_SIDE}, the side "
+                             "of a cifar image")
+        if self.num_classes < D.CIFAR_CLASSES:
+            raise ValueError(f"num_classes {self.num_classes} is below the "
+                             f"{D.CIFAR_CLASSES} cifar labels")
+        hidden = int(self.mlp_ratio * self.dim)
+        if hidden < 1:
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} gives an MLP hidden width of "
+                             f"{hidden} at dim {self.dim}")
         return self
 
 
@@ -407,20 +423,29 @@ def _cell_throughput(model: M.Classifier, x: np.ndarray) -> float | None:
     return round(len(x) * model.tokens / float(np.median(times)), 1)
 
 
+def ablation_cells(rc: RunConfig, grid: dict | None = None) -> list[tuple[tuple, RunConfig]]:
+    """(job, validated config) of every cell of the grid's cross product; a grid that
+    is no object of list-valued axes, or any cell no run could use, raises ValueError."""
+    if grid is not None and not isinstance(grid, dict):
+        raise ValueError(f"an ablation grid maps axis names to value lists, got {grid!r}")
+    grid = dict(grid or DEFAULT_GRID)
+    seeds = grid.pop("seeds", [rc.seed])
+    for axis, values in (*grid.items(), ("seeds", seeds)):
+        if not isinstance(values, list):
+            raise ValueError(f"ablation axis {axis!r} must be a list of values, got {values!r}")
+    combos = [{}]
+    for axis in sorted(grid):
+        combos = [{**c, axis: v} for c in combos for v in grid[axis]]
+    jobs = [(asdict(rc), combo, seed) for combo in combos for seed in seeds]
+    return [(job, _cell_config(*job)) for job in jobs]
+
+
 def cmd_ablate(rc: RunConfig, grid: dict | None = None) -> dict:
     """Train every cell of the grid's cross product; every cell's config is validated
     before the first one runs, and cells that share a synthetic CIFAR set share one
     copy under the grid's out_dir."""
-    grid = dict(grid or DEFAULT_GRID)
-    seeds = grid.pop("seeds", [rc.seed])
-    axes = sorted(grid)
-    combos = [{}]
-    for axis in axes:
-        combos = [{**c, axis: v} for c in combos for v in grid[axis]]
-    jobs = [(asdict(rc), combo, seed) for combo in combos for seed in seeds]
-    cells = [_cell_config(*job) for job in jobs]
     # each distinct synthetic CIFAR set is written once, before any cell runs
-    jobs = [(*job, _synthetic_cifar(rc.out_dir, cell)) for job, cell in zip(jobs, cells)]
+    jobs = [(*job, _synthetic_cifar(rc.out_dir, cell)) for job, cell in ablation_cells(rc, grid)]
     if rc.threads > 1:
         with ProcessPoolExecutor(max_workers=rc.threads) as pool:
             rows = list(pool.map(ablate_cell, jobs))

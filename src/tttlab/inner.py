@@ -5,7 +5,8 @@ pairs by a few explicit gradient steps. Every step is expressed in tape
 primitives, so outer-loop gradients flow through the unrolled updates in one
 reverse pass. An architecture states only its forward; its weight gradient
 is derived from that forward's traced ops, one rule per op (`_weight_grads`),
-while the loss gradients stay analytic.
+while the loss gradients stay analytic. The full 3x3 conv is im2col patches
+times a matmul, so it needs no rule of its own.
 
 Loss convention: all five losses carry the 1/(B*sqrt(d)) scale, so an inner
 learning rate of 1.0 is a meaningful default.
@@ -165,7 +166,8 @@ def _weight_grads(ops: list, ws: list[Node], out: Node, dv: Node) -> list[Node]:
 
     Walks the ops in reverse from out's cotangent dv, and sends cotangents
     only to the nodes that depend on a weight. A node reached from several
-    consumers sums its cotangents with `ad.add`.
+    consumers sums its cotangents with `ad.add`. The rules: matmul,
+    same-shape mul and add, silu, reshape, and dwconv3x3 over a data grid.
     """
     dep = set(ws)
     for node, inputs in ops:
@@ -200,10 +202,11 @@ def _weight_grads(ops: list, ws: list[Node], out: Node, dv: Node) -> list[Node]:
         elif op == "silu":
             send(a, ad.mul(g, ad.silu_prime(a)))
         elif op == "reshape":
-            send(a, ad.reshape(g, a.value.shape))
-        elif op in ("conv3x3", "dwconv3x3") and a not in dep:
-            wgrad = ad.conv3x3_wgrad if op == "conv3x3" else ad.dwconv3x3_wgrad
-            gk = wgrad(a, g)                # per sample; an unbatched grid has one
+            # a shared weight's cotangent keeps the per-sample axes matmul gave it
+            lead = g.value.shape[:g.value.ndim - node.value.ndim]
+            send(a, ad.reshape(g, (*lead, *a.value.shape)))
+        elif op == "dwconv3x3" and a not in dep:
+            gk = ad.dwconv3x3_wgrad(a, g)   # per sample; an unbatched grid has one
             if a.value.ndim == 3:
                 gk = ad.reshape(gk, gk.value.shape[1:])
             send(b, gk)
@@ -320,21 +323,26 @@ class GatedFC(InnerArch):
 
 
 class Conv3x3(InnerArch):
-    """Full 3x3 convolution over the key grid (zero padding, no bias)."""
+    """Full 3x3 convolution over the key grid (zero padding, no bias): im2col
+    patches of the grid times the kernel folded to [9d, d]."""
 
     name = "conv3x3"
     requires_grid = True
-    depthwise = False
 
     def weight_shapes(self, d):
         return [(3, 3, d, d)]
 
     def forward(self, ws, x, grid=None):
+        d, w = x.value.shape[-1], ws[0]
+        return ad.matmul(ad.patches(self.to_grid(x, grid)),
+                         ad.reshape(w, (*w.value.shape[:-4], 9 * d, d)))
+
+    def to_grid(self, x, grid):
+        """Token rows [.., H*W, d] as the [.., H, W, d] grid they raster-scan."""
         *lead, n, d = x.value.shape
         if grid is None or grid[0] * grid[1] != n:
             raise T.GridError(f"{self.name} needs a grid matching {n} tokens, got {grid}")
-        conv = ad.dwconv3x3 if self.depthwise else ad.conv3x3
-        return ad.reshape(conv(ad.reshape(x, (*lead, *grid, d)), ws[0]), x.value.shape)
+        return ad.reshape(x, (*lead, *grid, d))
 
     def context(self, lo, hi, grid=None):
         # the grid rows of [lo, hi) plus the row above and below that a 3x3 tap
@@ -350,10 +358,12 @@ class DWConv3x3(Conv3x3):
     """Depthwise 3x3 convolution: one kernel per channel."""
 
     name = "dwconv3x3"
-    depthwise = True
 
     def weight_shapes(self, d):
         return [(3, 3, d)]
+
+    def forward(self, ws, x, grid=None):
+        return ad.reshape(ad.dwconv3x3(self.to_grid(x, grid), ws[0]), x.value.shape)
 
 
 _FIXED_ARCHS = {a.name: a for a in (

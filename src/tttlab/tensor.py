@@ -9,7 +9,7 @@ propagating NaNs.
 
 Grids are channels-last: [H, W, C] for a single sequence, [b, H, W, C]
 batched. Depthwise 3x3 kernels are [3, 3, C] (shared) or [b, 3, 3, C]
-(per-sample); full 3x3 kernels are [3, 3, Cin, Cout] or [b, 3, 3, Cin, Cout].
+(per-sample); a full 3x3 conv is `patches` (im2col) followed by a matmul.
 """
 
 from __future__ import annotations
@@ -239,50 +239,30 @@ def dwconv3x3_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) -> np
     return out
 
 
-def _patches(xb: np.ndarray) -> np.ndarray:
-    """im2col: [b, H*W, 9*Cin] copy of 3x3 neighborhoods, taps in (u, v) order."""
+def patches(x: np.ndarray) -> np.ndarray:
+    """im2col: copy each 3x3 neighborhood of an [.., H, W, C] grid into one row of
+    [.., H*W, 9*C], taps in (u, v) order."""
+    xb, squeeze = _as_batched_grid(x, "patches")
     b, h, w, c = xb.shape
     win = sliding_window_view(_pad_grid(xb), (3, 3), axis=(1, 2))  # [b, H, W, C, 3, 3]
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b, h * w, 9 * c)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b, h * w, 9 * c)
+    return cols[0] if squeeze else cols
 
 
-def conv3x3_full(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Full 3x3 conv; kernel [3,3,Cin,Cout] shared or [b,3,3,Cin,Cout] per-sample."""
-    xb, squeeze = _as_batched_grid(x, "conv3x3_full")
-    b, h, w, c = xb.shape
-    if k.shape[-2] != c or k.shape[-4:-2] != (3, 3):
-        raise DimensionError(f"conv3x3 kernel {k.shape} does not match Cin={c}")
-    cout = k.shape[-1]
-    cols = _patches(xb)
-    km = k.reshape(*k.shape[:-4], 9 * c, cout)
-    out = np.matmul(cols, km).reshape(b, h, w, cout)
-    _tick(2 * b * h * w * 9 * c * cout)
-    return out[0] if squeeze else out
-
-
-def conv3x3_full_wgrad(x: np.ndarray, g: np.ndarray, per_sample: bool = True) -> np.ndarray:
-    """Kernel gradient of conv3x3_full -> [b,3,3,Cin,Cout] (or summed over b)."""
-    xb, _ = _as_batched_grid(x, "conv3x3_full_wgrad")
-    gb, _ = _as_batched_grid(g, "conv3x3_full_wgrad")
-    b, h, w, c = xb.shape
-    cout = gb.shape[-1]
-    cols = _patches(xb)  # [b, HW, 9C]
-    out = np.matmul(cols.transpose(0, 2, 1), gb.reshape(b, h * w, cout))
-    _tick(2 * b * h * w * 9 * c * cout)
-    out = out.reshape(b, 3, 3, c, cout)
-    if not per_sample:
-        out = out.sum(axis=0)
-    return out
+def unpatch(cols: np.ndarray, shape: tuple) -> np.ndarray:
+    """Adjoint of patches: scatter-add the nine taps of each row back onto the grid."""
+    *lead, h, w, c = shape
+    taps = cols.reshape(*lead, h, w, 3, 3, c)
+    xp = np.zeros((*lead, h + 2, w + 2, c), dtype=cols.dtype)
+    for u in range(3):
+        for v in range(3):
+            xp[..., u:u + h, v:v + w, :] += taps[..., u, v, :]
+    return np.ascontiguousarray(xp[..., 1:-1, 1:-1, :])
 
 
 def flip_dw(k: np.ndarray) -> np.ndarray:
     """Rotate a depthwise kernel [..., 3, 3, C] 180 degrees spatially."""
     return np.ascontiguousarray(np.flip(k, axis=(-3, -2)))
-
-
-def flip_full(k: np.ndarray) -> np.ndarray:
-    """Adjoint of a full kernel [..., 3, 3, Cin, Cout]: rotate and swap channel roles."""
-    return np.ascontiguousarray(np.swapaxes(np.flip(k, axis=(-4, -3)), -1, -2))
 
 
 # ---------------------------------------------------------------------------

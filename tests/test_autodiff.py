@@ -167,7 +167,8 @@ class TestPerOpGradients:
         def f(p, t):
             x = t.leaf(p["x"], name="x", param=True)
             y = ad.dwconv3x3(x, t.leaf(p["kd"], name="kd", param=True))
-            z = ad.conv3x3(y, t.leaf(p["kf"], name="kf", param=True))
+            kf = ad.reshape(t.leaf(p["kf"], name="kf", param=True), (18, 2))
+            z = ad.matmul(ad.patches(y), kf)        # the full conv as im2col + matmul
             return ad.sum_all(ad.mul(z, z))
         assert gradcheck(f, {"x": x0, "kd": kd0, "kf": kf0}) < 1e-7
 
@@ -181,11 +182,15 @@ class TestPerOpGradients:
             return ad.sum_all(ad.mul(h, h))
         assert gradcheck(f, {"x": x0, "g": g0}) < 1e-7
 
-        def f2(p, t):
-            h = ad.conv3x3_wgrad(t.leaf(p["x"], name="x", param=True),
-                                 t.leaf(p["g"], name="g", param=True))
-            return ad.sum_all(ad.mul(h, h))
-        assert gradcheck(f2, {"x": x0, "g": g0}) < 1e-7
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 2), (3, 4, 2)])
+    def test_patches(self, shape):
+        x0 = RNG.standard_normal(shape)
+        y0 = RNG.standard_normal(T.patches(x0).shape)
+
+        def f(p, t):
+            cols = ad.patches(t.leaf(p["x"], name="x", param=True))
+            return ad.sum_all(ad.mul(ad.mul(cols, cols), t.leaf(y0)))
+        assert gradcheck(f, {"x": x0}) < 1e-7
 
 
 class TestBackwardContract:
@@ -521,9 +526,8 @@ PRUNED_OPS = {
     "layer_norm": (ad.layer_norm, lambda: [_w(2, 4, 6), _w(6), _w(6)]),
     "dwconv3x3": (ad.dwconv3x3, lambda: [_w(2, 3, 3, 2), _w(3, 3, 2)]),
     "dwconv3x3_per_sample": (ad.dwconv3x3, lambda: [_w(2, 3, 3, 2), _w(2, 3, 3, 2)]),
-    "conv3x3": (ad.conv3x3, lambda: [_w(2, 3, 3, 2), _w(3, 3, 2, 4)]),
     "dwconv3x3_wgrad": (ad.dwconv3x3_wgrad, lambda: [_w(2, 3, 3, 2), _w(2, 3, 3, 2)]),
-    "conv3x3_wgrad": (ad.conv3x3_wgrad, lambda: [_w(2, 3, 3, 2), _w(2, 3, 3, 2)]),
+    "patches": (ad.patches, lambda: [_w(2, 3, 3, 2)]),
 }
 
 
@@ -733,17 +737,20 @@ class TestNonRecordingTape:
 
 class TestNoDeadOps:
     def test_every_public_op_is_called_as_ad_op(self):
-        # the public ops as perfbench/spans.public_ops lists them
-        public = {name for name, fn in vars(ad).items()
-                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
-                  and not name.startswith("_") and name not in ("backward", "gradcheck")}
+        # the public ops as perfbench/spans.public_ops lists them, called as ad.<op>,
+        # and every public tensor kernel but set_debug (the user's switch), as T.<name>
         src = os.path.dirname(ad.__file__)
-        used = set()
-        for fname in os.listdir(src):
-            if fname.endswith(".py") and fname != "autodiff.py":
-                with open(os.path.join(src, fname)) as fp:
-                    tree = ast.parse(fp.read())
-                used |= {node.attr for node in ast.walk(tree)
-                         if isinstance(node, ast.Attribute)
-                         and isinstance(node.value, ast.Name) and node.value.id == "ad"}
-        assert sorted(public - used) == []
+        for module, alias in ((ad, "ad"), (T, "T")):
+            public = {name for name, fn in vars(module).items()
+                      if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                      and not name.startswith("_")
+                      and name not in ("backward", "gradcheck", "set_debug")}
+            used = set()
+            for fname in os.listdir(src):
+                if fname.endswith(".py") and fname != os.path.basename(module.__file__):
+                    with open(os.path.join(src, fname)) as fp:
+                        tree = ast.parse(fp.read())
+                    used |= {node.attr for node in ast.walk(tree)
+                             if isinstance(node, ast.Attribute)
+                             and isinstance(node.value, ast.Name) and node.value.id == alias}
+            assert sorted(public - used) == [], alias

@@ -111,6 +111,13 @@ class TestRunConfig:
         ({"task": "cifar", "image_size": 30}, "patch_size 4 does not divide image_size 30"),
         ({"inner_parts": 18}, "inner_parts 18 exceeds the 17 tokens of a recall sample"),
         ({"task": "cifar", "inner_parts": 65}, "inner_parts 65 exceeds the 64 tokens"),
+        ({"task": "cifar", "image_size": 16}, "image_size 16 must be 32"),
+        ({"task": "cifar", "num_classes": 9}, "num_classes 9 is below the 10 cifar labels"),
+        ({"heads": 2, "head_archs": ["conv3x3", "dwconv3x3"]},
+         r"head_archs \['conv3x3', 'dwconv3x3'\] need an image grid"),
+        ({"heads": 2, "head_archs": ["gated_fc", "dwconv3x3"]},
+         r"head_archs \['dwconv3x3'\] need an image grid"),
+        ({"task": "cifar", "mlp_ratio": 0.01}, "mlp_ratio 0.01 gives an MLP hidden width of 0"),
     ])
     def test_config_no_run_could_use_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
@@ -119,6 +126,8 @@ class TestRunConfig:
     def test_task_shape_limits_accepted(self):
         RunConfig.from_json('{"recall_seq": 33, "recall_keys": 32, "inner_parts": 33}')
         RunConfig.from_json('{"task": "cifar", "inner_parts": 64, "recall_seq": 1}')
+        # recall reads no image, class count or MLP width
+        RunConfig.from_json('{"image_size": 16, "num_classes": 2, "mlp_ratio": 0.01}')
 
 
 class TestCmdTrain:
@@ -375,18 +384,27 @@ class TestCli:
             argv += ["--config", str(tmp_path / "cfg.json")]
         assert cli.main(argv) == 0 and seen == [threads]
 
+    # each `flag` row is a full command line
     @pytest.mark.parametrize("flag, message", [
-        (["--inner-lr", "nan"], "inner_lr must be float, got nan"),
-        (["--inner-parts", "99"], "inner_parts 99 exceeds the 17 tokens"),
+        (["train", "--inner-lr", "nan"], "inner_lr must be float, got nan"),
+        (["train", "--inner-parts", "99"], "inner_parts 99 exceeds the 17 tokens"),
+        (["ablate", "--grid", '{"nonsense": [1]}'], "unknown RunConfig fields: ['nonsense']"),
+        (["ablate", "--grid", '{"inner_lr": ["x"]}'], "inner_lr must be float, got 'x'"),
+        (["ablate", "--grid", "no-such-grid.json"], "No such file or directory"),
+        (["ablate", "--grid", '{"inner_lr": 1}'], "axis 'inner_lr' must be a list"),
     ])
-    def test_bad_flag_value_is_a_usage_error(self, capsys, flag, message):
-        # a value the config rejects exits like an unknown flag: status 2, no traceback
+    def test_bad_flag_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch, flag,
+                                             message):
+        # a value the config rejects exits like an unknown flag: status 2, no traceback;
+        # a bad ablation grid is refused before any cell runs or writes
         from tttlab.cli import main
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["train", *flag])
+            main(flag)
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bench_cli(self, tmp_path):
         from tttlab.cli import main

@@ -347,12 +347,13 @@ class TestForwardOnce:
         v = t.leaf(rng.standard_normal((9, 3)))
         inner_update_nodes(arch, ws, k, v, InnerTrainConfig(loss="mse"), grid=(3, 3))
 
-        def reads_k(node):
-            return node is k or (node.op == "reshape" and node.inputs[0] is k)
+        def is_or_reads(node, leaf):     # the leaf, or a reshape or im2col of it
+            return node is leaf or (node.op in ("reshape", "patches")
+                                    and is_or_reads(node.inputs[0], leaf))
 
         uses = [sum(1 for node in t.nodes
-                    if node.op in ("matmul", "conv3x3", "dwconv3x3")
-                    and node.inputs[1] is w and reads_k(node.inputs[0]))
+                    if node.op in ("matmul", "dwconv3x3")
+                    and is_or_reads(node.inputs[1], w) and is_or_reads(node.inputs[0], k))
                 for w in ws]
         assert uses[0] == 1 and max(uses) == 1
 
@@ -413,23 +414,30 @@ class TestDerivedWeightGrads:
 
 def full_grid_update(arch, ws, k, v, cfg, rate, grid):
     """Reference conv inner loop: every part runs its forward and its kernel
-    gradient on the whole grid, with the part's cotangent padded to all n rows."""
-    conv, wgrad = {"conv3x3": (ad.conv3x3, ad.conv3x3_wgrad),
-                   "dwconv3x3": (ad.dwconv3x3, ad.dwconv3x3_wgrad)}[arch.name]
+    gradient on the whole grid, with the part's cotangent padded to all n rows.
+    The full conv is im2col patches times the kernel folded to [9d, d]."""
     *lead, n, d = k.value.shape
+    kg = ad.reshape(k, (*lead, *grid, d))
 
-    def to_grid(a):
-        return ad.reshape(a, (*lead, *grid, d))
+    def conv(w):
+        if arch.name == "dwconv3x3":
+            return ad.reshape(ad.dwconv3x3(kg, w), k.value.shape)
+        return ad.matmul(ad.patches(kg), ad.reshape(w, (*w.value.shape[:-4], 9 * d, d)))
+
+    def wgrad(dv):
+        if arch.name == "dwconv3x3":
+            g = ad.dwconv3x3_wgrad(kg, ad.reshape(dv, (*lead, *grid, d)))
+            return ad.reshape(g, g.value.shape[1:]) if not lead else g
+        g = ad.matmul(ad.transpose(ad.patches(kg)), dv)
+        return ad.reshape(g, (*lead, 3, 3, d, d))
 
     for _ in range(cfg.epochs):
         for lo, hi in partition_batches(n, cfg.parts):
-            vhat = ad.reshape(conv(to_grid(k), ws[0]), k.value.shape)
+            vhat = conv(ws[0])
             dv = loss_grad(cfg.loss, ad.rows(vhat, lo, hi), ad.rows(v, lo, hi))
             if rate is not None:
                 dv = ad.mul(dv, ad.rows(rate, lo, hi))
-            g = wgrad(to_grid(k), to_grid(ad.pad_rows(dv, n, lo, hi)))
-            if not lead:
-                g = ad.reshape(g, g.value.shape[1:])
+            g = wgrad(ad.pad_rows(dv, n, lo, hi))
             if rate is None:
                 g = ad.scale(g, cfg.lr)
             ws = [ad.sub(ws[0], g)]

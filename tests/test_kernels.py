@@ -19,6 +19,7 @@ import pytest
 from tttlab import autodiff as ad
 from tttlab import tensor as T
 from tttlab.autodiff import Tape, _unbroadcast
+from tttlab.inner import get_arch
 
 RTOL = {np.float32: 1e-6, np.float64: 1e-12}
 DTYPES = (np.float32, np.float64)
@@ -282,9 +283,29 @@ class TestPatches:
                                        (1, 18, 64, 32)])
     def test_window_view_matches_nine_copies(self, shape):
         x = randn(np.random.default_rng(12), shape, np.float32)
-        cols = T._patches(x)
+        cols = T.patches(x)
         assert np.array_equal(cols, ref_patches(x))
         assert cols.flags.c_contiguous and not np.shares_memory(cols, x)
+        assert np.array_equal(T.patches(x[0]), cols[0])
+
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (3, 4, 6, 2), (2, 1, 1, 4)])
+    def test_unpatch_is_the_adjoint(self, shape):
+        # <patches(x), y> = <x, unpatch(y)> for every x and y
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(shape)
+        cols = T.patches(x)
+        y = rng.standard_normal(cols.shape)
+        back = T.unpatch(y, x.shape)
+        assert back.shape == x.shape and back.flags.c_contiguous
+        lhs, rhs = np.vdot(cols, y), np.vdot(x, back)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_copies_count_no_flops(self):
+        x = np.ones((2, 4, 5, 3))
+        with T.count_flops() as fc:
+            value_op(ad.patches, x)
+            tape_op(ad.patches, x)[1].vjp(np.ones((2, 20, 27)))
+        assert fc.total == 0
 
 
 # ---------------------------------------------------------------------------
@@ -484,20 +505,28 @@ class TestDebugCoverage:
         with pytest.raises(T.NonFiniteError, match="^dwconv3x3 vjp produced"):
             node.vjp(nan_like(node.value))
 
-    @pytest.mark.parametrize("op, second", [("conv3x3", (2, 3, 3, 2, 4)),
-                                            ("conv3x3_wgrad", (2, 3, 3, 2))])
-    def test_conv_forward_named_by_tape_op(self, op, second):
-        # not by the kernel that computes it (conv3x3_full, conv3x3_full_wgrad)
-        with pytest.raises(T.NonFiniteError, match=f"^{op} produced"):
-            tape_op(getattr(ad, op), poisoned((2, 3, 3, 2)), np.ones(second))
-
-    @pytest.mark.parametrize("kshape", [(3, 3, 2, 4), (2, 3, 3, 2, 4)])
-    def test_conv3x3(self, kshape):
-        _, node = tape_op(ad.conv3x3, np.ones((2, 3, 3, 2)), np.ones(kshape))
-        with pytest.raises(T.NonFiniteError, match="^conv3x3 vjp produced"):
+    def test_patches(self):
+        # named by the tape op, not by the kernels that compute it (patches, unpatch)
+        with pytest.raises(T.NonFiniteError, match="^patches produced"):
+            tape_op(ad.patches, poisoned((2, 3, 3, 2)))
+        _, node = tape_op(ad.patches, np.ones((2, 3, 3, 2)))
+        with pytest.raises(T.NonFiniteError, match="^patches vjp produced"):
             node.vjp(nan_like(node.value))
 
-    @pytest.mark.parametrize("op", ["dwconv3x3_wgrad", "conv3x3_wgrad"])
+    @pytest.mark.parametrize("kshape", [(3, 3, 2, 2), (2, 3, 3, 2, 2)])
+    def test_conv3x3(self, kshape):
+        # the conv3x3 head is patches then matmul; each vjp names its own fault
+        head = get_arch("conv3x3")
+        _, node = tape_op(lambda x, k: head.forward([k], x, (3, 3)), np.ones((2, 9, 2)),
+                          np.ones(kshape))
+        cols = node.inputs[0]
+        assert (node.op, cols.op) == ("matmul", "patches")
+        with pytest.raises(T.NonFiniteError, match="^matmul vjp produced"):
+            node.vjp(nan_like(node.value))
+        with pytest.raises(T.NonFiniteError, match="^patches vjp produced"):
+            cols.vjp(nan_like(cols.value))
+
+    @pytest.mark.parametrize("op", ["dwconv3x3_wgrad"])
     def test_wgrad_ops(self, op):
         _, node = tape_op(getattr(ad, op), np.ones((2, 3, 3, 2)), np.ones((2, 3, 3, 2)))
         with pytest.raises(T.NonFiniteError, match=f"^{op} vjp produced"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tttlab import autodiff as ad
 from tttlab import tensor as T
 from tttlab.autodiff import Tape
+from tttlab.inner import InnerModel, inner_forward
 
 
 def naive_matmul(a, b):
@@ -60,6 +61,11 @@ class TestMatmul:
             T.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
+def conv3x3_head(x, k):
+    """The conv3x3 inner head's forward (patches @ kernel) on an [H, W, C] grid."""
+    return inner_forward(InnerModel(kind="conv3x3", d=k.shape[-1], weights=[k]), x)
+
+
 class TestConv3x3:
     def test_ones_grid_corner(self):
         x = np.ones((2, 2, 1))
@@ -67,7 +73,7 @@ class TestConv3x3:
         # with one channel the depthwise and the full conv coincide; every
         # output cell sees all four ones with zero padding
         assert np.allclose(T.dwconv3x3(x, k), 4.0)
-        assert np.allclose(T.conv3x3_full(x, k[..., None]), 4.0)
+        assert np.allclose(conv3x3_head(x, k[..., None]), 4.0)
 
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(2)
@@ -85,14 +91,14 @@ class TestConv3x3:
     def test_full_against_sliding_window(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 5, 3))
-        k = rng.standard_normal((3, 3, 3, 2))
-        assert np.abs(T.conv3x3_full(x, k) - naive_conv3x3(x, k, False)).max() < 1e-12
+        k = rng.standard_normal((3, 3, 3, 3))
+        assert np.abs(conv3x3_head(x, k) - naive_conv3x3(x, k, False)).max() < 1e-12
 
     def test_non_grid_input(self):
         with pytest.raises(T.GridError):
             T.dwconv3x3(np.zeros((6, 3)), np.zeros((3, 3, 3)))
         with pytest.raises(T.GridError):
-            T.conv3x3_full(np.zeros((6, 3)), np.zeros((3, 3, 3, 3)))
+            T.patches(np.zeros((6, 3)))
 
     def test_per_sample_kernels_match_loop(self):
         rng = np.random.default_rng(5)
