@@ -11,10 +11,11 @@ Whoever makes a tape owns it. The tape lists its nodes, and each node refers
 to its tape only weakly, so a graph holds no reference cycle: reference
 counting frees a tape, and every buffer only it holds, the moment its owner
 drops it, whether backward spent it, a forward-only caller abandoned it or a
-forward raised half way. `node.tape` is the tape while it lives; an op on a
-node whose tape is gone raises `ContractError`. Backward spends the graph
-(`Tape.release`): it cuts each node's link to the tape and drops its vjp and
-inputs. Node values, ops and indices stay readable.
+forward raised half way. `node.tape` is the tape while it lives and is not
+spent; on a node whose tape is spent or gone it raises `ContractError`, so no
+op can be recorded there. Backward spends the graph (`Tape.release`): it
+marks the tape spent and drops each node's vjp and inputs. Node values, ops
+and indices stay readable.
 
 A vjp computes a cotangent only for an input that requires one; it returns
 None for a data leaf or a constant.
@@ -47,24 +48,6 @@ class OracleError(RuntimeError):
     """gradcheck was handed a non-deterministic function."""
 
 
-class _SpentTape:
-    """Stands in for the tape of a spent or dropped node: recording a new op on it raises."""
-
-    def _refuse(self, *args, **kwargs):
-        raise ContractError("this node's tape was spent by backward, released or "
-                            "dropped by its owner; record the computation on a new Tape")
-
-    leaf = push = tracing = _refuse
-
-
-_SPENT = _SpentTape()
-
-
-def _no_tape():
-    """The tape reference of a released node: it resolves to nothing."""
-    return None
-
-
 class RowSlice:
     """Cotangent of rows [lo, hi) of an input; backward scatter-adds it in place."""
 
@@ -89,10 +72,13 @@ class Node:
         self.op = op
 
     @property
-    def tape(self):
-        """The tape this node is on, or a stand-in that refuses new ops once it is gone."""
+    def tape(self) -> "Tape":
+        """The tape this node is on; ContractError once it is spent or dropped."""
         tape = self._tape()
-        return _SPENT if tape is None else tape
+        if tape is None or tape.spent:
+            raise ContractError("this node's tape was spent by backward, released or "
+                                "dropped by its owner; record the computation on a new Tape")
+        return tape
 
     @property
     def shape(self):
@@ -159,7 +145,7 @@ class Tape:
             self.trace = None
 
     def release(self) -> None:
-        """Spend the graph: cut every node's link to this tape, drop its vjp and inputs.
+        """Spend the graph: drop every node's vjp and inputs.
 
         The vjp closures hold the inputs' values, so dropping them frees those
         buffers even while the caller keeps the tape or a node. `nodes`,
@@ -167,7 +153,6 @@ class Tape:
         a node, or a backward, raises ContractError.
         """
         for node in self.nodes:
-            node._tape = _no_tape
             node.vjp = None
             node.inputs = ()
         self.spent = True
@@ -469,7 +454,7 @@ def mean_tokens(a: Node) -> Node:
 
 def silu(a: Node) -> Node:
     x = a.value
-    s = T._sigmoid(x)
+    s = T.sigmoid(x)
     out = x * s
     T._tick(4 * x.size)
 
@@ -490,7 +475,7 @@ def silu_prime(a: Node) -> Node:
     x = a.value
     s = T.sigmoid(x)
     out = s * (1.0 + x * (1.0 - s))
-    T._tick(3 * x.size)
+    T._tick(6 * x.size)
 
     def vjp(g):
         # SiLU''(x) = s(1-s) (2 + x(1-2s))
@@ -501,6 +486,7 @@ def silu_prime(a: Node) -> Node:
 
 def sigmoid(a: Node) -> Node:
     s = T.sigmoid(a.value)
+    T._tick(3 * s.size)
 
     def vjp(g):
         d = g * s

@@ -31,7 +31,6 @@ class FormatError(ValueError):
 class Dataset:
     images: np.ndarray   # [n, 32, 32, 3] float32 in [0, 1]
     labels: np.ndarray   # [n] int64 in [0, classes)
-    split: str = ""
 
     def __len__(self):
         return len(self.labels)
@@ -50,12 +49,11 @@ def _parse_records(raw: bytes, source: str) -> Dataset:
 
 
 def load_cifar10(path: str, split: str = "train") -> Dataset:
-    """Load CIFAR-10 binary batches from a directory, or one .bin file directly."""
+    """Load CIFAR-10 binary batches from a directory (`split` picks the five train
+    batches or the test batch), or one .bin file directly."""
     if os.path.isfile(path):
         with open(path, "rb") as fp:
-            ds = _parse_records(fp.read(), path)
-        ds.split = split
-        return ds
+            return _parse_records(fp.read(), path)
     names = ([f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train"
              else ["test_batch.bin"])
     chunks = []
@@ -65,9 +63,7 @@ def load_cifar10(path: str, split: str = "train") -> Dataset:
             raise FormatError(f"missing CIFAR-10 batch file {batch_path}")
         with open(batch_path, "rb") as fp:
             chunks.append(fp.read())
-    ds = _parse_records(b"".join(chunks), path)
-    ds.split = split
-    return ds
+    return _parse_records(b"".join(chunks), path)
 
 
 def crop_shift(image: np.ndarray, pad: int, dy: int, dx: int) -> np.ndarray:
@@ -162,12 +158,13 @@ def write_synthetic_cifar(dirpath: str, seed: int = 0, n_train: int = 5000,
 
     Classes are oriented gratings and blob patterns with per-sample color
     jitter, position shift and pixel noise; learnable but far from trivial.
-    Used when no real CIFAR-10 binaries are available in the sandbox.
+    Used when no real CIFAR-10 binaries are available. The n_train images are
+    split over the five train batch files, and the last one takes the remainder.
     """
     os.makedirs(dirpath, exist_ok=True)
     rng = np.random.default_rng(seed)
-    per = [(f"data_batch_{i}.bin", n_train // 5) for i in range(1, 6)]
-    per.append(("test_batch.bin", n_test))
+    per = [(f"data_batch_{i}.bin", n_train // 5) for i in range(1, 5)]
+    per += [("data_batch_5.bin", n_train - 4 * (n_train // 5)), ("test_batch.bin", n_test)]
     yy, xx = np.mgrid[0:CIFAR_SIDE, 0:CIFAR_SIDE].astype(np.float32)
     for name, count in per:
         rec = np.empty((count, _REC), dtype=np.uint8)

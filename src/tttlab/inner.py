@@ -15,7 +15,6 @@ learning rate of 1.0 is a meaningful default.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -237,20 +236,16 @@ class SiLUFC(InnerArch):
 
 
 class MLP(InnerArch):
-    """l-layer MLP with SiLU between layers and hidden width r*d."""
+    """`layers` linear layers with SiLU between them and hidden width ratio*d."""
 
     def __init__(self, ratio: int = 1, layers: int = 2):
-        if layers not in (2, 3):
-            raise ValueError("MLP supports 2 or 3 linear layers")
         self.ratio = ratio
         self.layers = layers
         self.name = f"mlp_r{ratio}_l{layers}"
 
     def weight_shapes(self, d):
         h = self.ratio * d
-        if self.layers == 2:
-            return [(d, h), (h, d)]
-        return [(d, h), (h, h), (h, d)]
+        return [(d, h), *[(h, h)] * (self.layers - 2), (h, d)]
 
     def forward(self, ws, x, grid=None):
         h = x
@@ -263,7 +258,7 @@ class MLPResidual(MLP):
     """Two-layer MLP with an input skip: SiLU(x W1) W2 + x."""
 
     def __init__(self):
-        super().__init__(ratio=1, layers=2)
+        super().__init__()
         self.name = "mlp_residual"
 
     def forward(self, ws, x, grid=None):
@@ -274,7 +269,7 @@ class MLPPlusIdentity(MLP):
     """Two-layer MLP with identity folded into the output layer: SiLU(x W1)(W2 + I)."""
 
     def __init__(self):
-        super().__init__(ratio=1, layers=2)
+        super().__init__()
         self.name = "mlp_w2_plus_i"
 
     def forward(self, ws, x, grid=None):
@@ -286,7 +281,7 @@ class MLPIdentityInit(MLP):
     """Two-layer MLP whose output layer starts at the identity."""
 
     def __init__(self):
-        super().__init__(ratio=1, layers=2)
+        super().__init__()
         self.name = "mlp_w2_init_i"
 
     def init(self, rng, d, dtype=np.float64):
@@ -366,29 +361,20 @@ class DWConv3x3(Conv3x3):
         return ad.reshape(ad.dwconv3x3(self.to_grid(x, grid), ws[0]), x.value.shape)
 
 
-_FIXED_ARCHS = {a.name: a for a in (
-    FC(), SiLUFC(), SwiGLU(), GatedFC(), Conv3x3(), DWConv3x3(),
-    MLPResidual(), MLPPlusIdentity(), MLPIdentityInit(),
+#: the Table-4/Table-6 design space by name, in the order of the gradcheck
+#: matrix and the ablations; nothing else builds an architecture
+ARCHS: dict[str, InnerArch] = {a.name: a for a in (
+    FC(), SiLUFC(), MLP(1, 2), MLP(2, 2), MLP(1, 3), SwiGLU(), GatedFC(), Conv3x3(),
+    DWConv3x3(), MLPResidual(), MLPPlusIdentity(), MLPIdentityInit(),
 )}
 
-_MLP_RE = re.compile(r"mlp_r(\d+)_l(\d+)$")
+ARCH_NAMES = tuple(ARCHS)
 
 
 def get_arch(name: str) -> InnerArch:
-    if name in _FIXED_ARCHS:
-        return _FIXED_ARCHS[name]
-    m = _MLP_RE.match(name)
-    if m:
-        return MLP(ratio=int(m.group(1)), layers=int(m.group(2)))
-    raise ValueError(f"unknown inner architecture {name!r}")
-
-
-#: the Table-4/Table-6 design space, used by the gradcheck matrix and ablations
-ARCH_NAMES = (
-    "fc", "silu_fc", "mlp_r1_l2", "mlp_r2_l2", "mlp_r1_l3", "swiglu",
-    "gated_fc", "conv3x3", "dwconv3x3", "mlp_residual", "mlp_w2_plus_i",
-    "mlp_w2_init_i",
-)
+    if name not in ARCHS:
+        raise ValueError(f"unknown inner architecture {name!r}; expected one of {ARCH_NAMES}")
+    return ARCHS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -420,20 +406,6 @@ class InnerModel:
     @classmethod
     def create(cls, kind: str, d: int, rng: np.random.Generator, dtype=np.float64):
         return cls(kind=kind, d=d, weights=get_arch(kind).init(rng, d, dtype))
-
-
-def inner_forward(model: InnerModel, x: np.ndarray) -> np.ndarray:
-    """Apply F_W to [B, d] rows or an [H, W, d] grid."""
-    arch = get_arch(model.kind)
-    tape = Tape(record=False)
-    ws = [tape.leaf(w) for w in model.weights]
-    if x.ndim == 3:
-        grid = x.shape[:2]
-        out = arch.forward(ws, tape.leaf(x.reshape(-1, x.shape[-1])), grid)
-        return out.value.reshape(x.shape)
-    if arch.requires_grid:
-        raise T.GridError(f"{model.kind} needs an [H, W, d] grid input")
-    return arch.forward(ws, tape.leaf(x)).value
 
 
 def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
@@ -493,8 +465,6 @@ def inner_update(model: InnerModel, k: np.ndarray, v: np.ndarray,
         grid = k.shape[:2]
         k = k.reshape(-1, k.shape[-1])
         v = v.reshape(-1, v.shape[-1])
-    elif arch.requires_grid:
-        raise T.GridError(f"{model.kind} needs an [H, W, d] grid input")
     if k.shape[0] != v.shape[0]:
         raise T.DimensionError(f"K and V row counts differ: {k.shape} vs {v.shape}")
     tape = Tape(record=False)

@@ -506,7 +506,9 @@ class TestTapeLifetime:
         root = ad.sum_all(t.push(x.value, (x,), vjp, "boom"))
         with pytest.raises(FloatingPointError):
             t.backward(root)
-        assert t.spent and x.tape is not t
+        assert t.spent
+        with pytest.raises(ContractError, match="spent"):
+            x.tape
 
 
 # ---------------------------------------------------------------------------

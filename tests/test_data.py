@@ -64,6 +64,14 @@ class TestCifarLoader:
         assert train.images.min() >= 0.0 and train.images.max() <= 1.0
         assert set(np.unique(train.labels)) <= set(range(10))
 
+    @pytest.mark.parametrize("n_train", [3, 7, 14])
+    def test_synthetic_train_size_not_a_multiple_of_five(self, tmp_path, n_train):
+        # the first four batch files hold n_train // 5 images, the fifth the rest
+        write_synthetic_cifar(str(tmp_path), seed=1, n_train=n_train, n_test=2)
+        sizes = [len(load_cifar10(str(tmp_path / f"data_batch_{i}.bin"))) for i in range(1, 6)]
+        assert sizes == [n_train // 5] * 4 + [n_train - 4 * (n_train // 5)]
+        assert len(load_cifar10(str(tmp_path), "train")) == n_train
+
     def test_missing_batch_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_cifar10(str(tmp_path), "train")

@@ -28,7 +28,6 @@ import csv
 import hashlib
 import json
 import os
-import platform
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -49,18 +48,18 @@ GOLDEN = os.path.join(ROOT, "tests", "GOLDEN.json")
 SEED = 11
 
 
-def cpu_model() -> str:
+@contextmanager
+def perfbench_on_path():
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
-        with open("/proc/cpuinfo") as fp:
-            for line in fp:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
+        yield
+    finally:
+        sys.path.pop(0)
 
 
 def fingerprint() -> dict:
+    with perfbench_on_path():
+        from run import cpu_model
     fp = H.machine_fingerprint()
     return {"numpy": fp["numpy"], "blas": f"{fp['blas']} {fp['blas_version']}",
             "cpu": cpu_model()}
@@ -109,12 +108,9 @@ def observed():
 
 
 def workload_digests(workdir: str) -> dict:
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    try:
+    with perfbench_on_path():
         from spans import NO_TRACE
         from workloads import WORKLOADS
-    finally:
-        sys.path.pop(0)
     out = {}
     for name, cls in WORKLOADS.items():
         wl = cls(SEED, "full", os.path.join(workdir, name))

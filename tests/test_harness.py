@@ -1,17 +1,21 @@
 import csv
 import json
 import os
+import tempfile
 from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tttlab.harness as H
 import tttlab.inner as inner_mod
 import tttlab.model as M
 from tttlab import allocator
 from tttlab import autodiff as ad
+from tttlab import data as D
 from tttlab.harness import (ABLATE_CSV_COLUMNS, BENCH_CSV_COLUMNS,
                             TRAIN_CSV_COLUMNS, RecallModel, RunConfig,
                             cmd_ablate, cmd_bench, cmd_gradcheck,
@@ -128,6 +132,61 @@ class TestRunConfig:
         RunConfig.from_json('{"task": "cifar", "inner_parts": 64, "recall_seq": 1}')
         # recall reads no image, class count or MLP width
         RunConfig.from_json('{"image_size": 16, "num_classes": 2, "mlp_ratio": 0.01}')
+
+
+# a value per field that no run, or no run of one task, can use
+UNUSABLE = {"heads": 3, "patch_size": 5, "inner_parts": 99, "recall_seq": 40,
+            "image_size": 16, "num_classes": 4, "mlp_ratio": 0.05, "head_archs": "grid"}
+
+
+@st.composite
+def tiny_run_docs(draw):
+    """RunConfig fields of a 1-epoch tiny run; up to two drawn fields then take
+    their UNUSABLE value (an image grid head for head_archs)."""
+    heads = draw(st.sampled_from([1, 2]))
+    doc = {
+        "task": draw(st.sampled_from(["recall", "cifar"])),
+        "dim": draw(st.sampled_from([8, 16])),
+        "heads": heads,
+        "depth": 1,
+        "patch_size": draw(st.sampled_from([8, 16])),
+        "num_classes": draw(st.sampled_from([10, 12])),
+        "mlp_ratio": draw(st.sampled_from([2.0, 0.5])),
+        "head_archs": draw(st.one_of(st.just([]), st.lists(
+            st.sampled_from(inner_mod.ARCH_NAMES), min_size=heads, max_size=heads))),
+        "recall_seq": draw(st.sampled_from([3, 9])),
+        "recall_width": draw(st.sampled_from([4, 8])),
+        "inner_loss": draw(st.sampled_from(inner_mod.LOSSES)),
+        "inner_parts": draw(st.sampled_from([1, 2, 3])),
+        "inner_lr": draw(st.sampled_from([1.0, 10.0])),
+        "inner_dynamic": draw(st.booleans()),
+        "epochs": 1, "batch_size": 8, "train_size": 16, "val_size": 8, "warmup_epochs": 1,
+    }
+    for name in {draw(st.sampled_from([None, *UNUSABLE])) for _ in range(2)} - {None}:
+        doc[name] = ["dwconv3x3"] * heads if name == "head_archs" else UNUSABLE[name]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def tiny_cifar(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cifar-bin"))
+    D.write_synthetic_cifar(path, seed=0, n_train=20, n_test=10)
+    return path
+
+
+class TestRunConfigProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(doc=tiny_run_docs())
+    def test_accepted_config_trains(self, tiny_cifar, doc):
+        # validate refuses the config, or its first epoch runs (divergence is a result)
+        try:
+            rc = RunConfig.from_dict(doc)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            rc.out_dir, rc.data_path = out, tiny_cifar
+            report = cmd_train(rc)
+        assert report["diverged"] or len(report["rows"]) == 1
 
 
 class TestCmdTrain:

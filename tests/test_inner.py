@@ -10,11 +10,22 @@ from tttlab import tensor as T
 from tttlab.autodiff import ContractError, Tape
 from tttlab.inner import (ARCH_NAMES, DivergenceError, InnerArch, InnerModel,
                           InnerTrainConfig, PartitionError, dynamic_rate,
-                          get_arch, inner_forward, inner_loss, inner_loss_grad,
+                          get_arch, inner_loss, inner_loss_grad,
                           inner_update, inner_update_nodes, loss_grad,
                           mixed_second_derivative, partition_batches)
 
 RNG = np.random.default_rng(21)
+
+
+def inner_forward(model: InnerModel, x: np.ndarray) -> np.ndarray:
+    """Apply F_W to [B, d] rows or an [H, W, d] grid, on a tape that records nothing."""
+    arch = get_arch(model.kind)
+    tape = Tape(record=False)
+    ws = [tape.leaf(w) for w in model.weights]
+    if x.ndim == 3:
+        out = arch.forward(ws, tape.leaf(x.reshape(-1, x.shape[-1])), x.shape[:2])
+        return out.value.reshape(x.shape)
+    return arch.forward(ws, tape.leaf(x)).value
 
 
 def generic_pair(b=3, d=4, seed=0):
@@ -187,8 +198,8 @@ class TestInnerForward:
         assert inner_forward(m, x).shape == (4, 4, 3)
 
     def test_mlp_hidden_width_follows_ratio(self):
-        m = InnerModel.create("mlp_r3_l2", 4, np.random.default_rng(0))
-        assert m.weights[0].shape == (4, 12) and m.weights[1].shape == (12, 4)
+        m = InnerModel.create("mlp_r2_l2", 4, np.random.default_rng(0))
+        assert m.weights[0].shape == (4, 8) and m.weights[1].shape == (8, 4)
 
 
 class TestInnerUpdate:
@@ -329,9 +340,16 @@ class TestInnerUpdate:
         assert star.weights[0].shape == (3, 3, 3, 3)
 
     def test_arch_registry_covers_design_space(self):
-        assert len(ARCH_NAMES) >= 10
+        # the order of the gradcheck matrix and the ablations
+        assert ARCH_NAMES == ("fc", "silu_fc", "mlp_r1_l2", "mlp_r2_l2", "mlp_r1_l3",
+                              "swiglu", "gated_fc", "conv3x3", "dwconv3x3", "mlp_residual",
+                              "mlp_w2_plus_i", "mlp_w2_init_i")
         for name in ARCH_NAMES:
-            get_arch(name)
+            assert get_arch(name).name == name
+        # names outside the registry, even ones that read like an MLP of the design space
+        for name in ("mlp_r3_l2", "mlp_r0_l2", "mlp_r1_l4", "nonsense"):
+            with pytest.raises(ValueError, match=f"unknown inner architecture '{name}'"):
+                get_arch(name)
 
 
 class TestForwardOnce:

@@ -146,7 +146,7 @@ class TestTTTAttention:
         x = RNG.standard_normal((6, 16))
         out = ttt_attention(x, p, InnerTrainConfig(loss="mse", lr=0.0))
         # K and V are irrelevant at eta=0: permuting other tokens leaves each row alone
-        from tttlab.inner import inner_forward
+        from test_inner import inner_forward
         parts = []
         for h in range(2):
             q = x @ p.wq[h]

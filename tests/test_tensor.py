@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tttlab import autodiff as ad
 from tttlab import tensor as T
 from tttlab.autodiff import Tape
-from tttlab.inner import InnerModel, inner_forward
+from tttlab.inner import get_arch
 
 
 def naive_matmul(a, b):
@@ -63,7 +63,9 @@ class TestMatmul:
 
 def conv3x3_head(x, k):
     """The conv3x3 inner head's forward (patches @ kernel) on an [H, W, C] grid."""
-    return inner_forward(InnerModel(kind="conv3x3", d=k.shape[-1], weights=[k]), x)
+    tape = Tape(record=False)
+    rows = tape.leaf(x.reshape(-1, x.shape[-1]))
+    return get_arch("conv3x3").forward([tape.leaf(k)], rows, x.shape[:2]).value.reshape(x.shape)
 
 
 class TestConv3x3:
