@@ -134,15 +134,10 @@ class TestRunConfig:
         RunConfig.from_json('{"image_size": 16, "num_classes": 2, "mlp_ratio": 0.01}')
 
 
-# a value per field that no run, or no run of one task, can use
-UNUSABLE = {"heads": 3, "patch_size": 5, "inner_parts": 99, "recall_seq": 40,
-            "image_size": 16, "num_classes": 4, "mlp_ratio": 0.05, "head_archs": "grid"}
-
-
 @st.composite
 def tiny_run_docs(draw):
-    """RunConfig fields of a 1-epoch tiny run; up to two drawn fields then take
-    their UNUSABLE value (an image grid head for head_archs)."""
+    """RunConfig fields of a 1-epoch tiny run; up to two drawn fields then take a
+    value that no run, or no run of one task, can use."""
     heads = draw(st.sampled_from([1, 2]))
     doc = {
         "task": draw(st.sampled_from(["recall", "cifar"])),
@@ -162,8 +157,11 @@ def tiny_run_docs(draw):
         "inner_dynamic": draw(st.booleans()),
         "epochs": 1, "batch_size": 8, "train_size": 16, "val_size": 8, "warmup_epochs": 1,
     }
-    for name in {draw(st.sampled_from([None, *UNUSABLE])) for _ in range(2)} - {None}:
-        doc[name] = ["dwconv3x3"] * heads if name == "head_archs" else UNUSABLE[name]
+    unusable = {"heads": 3, "patch_size": 5, "inner_parts": 99, "recall_seq": 40,
+                "image_size": 16, "num_classes": 4, "mlp_ratio": 0.05,
+                "head_archs": ["dwconv3x3"] * heads}
+    for name in {draw(st.sampled_from([None, *unusable])) for _ in range(2)} - {None}:
+        doc[name] = unusable[name]
     return doc
 
 
