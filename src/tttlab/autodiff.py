@@ -551,13 +551,13 @@ def huber_prime(a: Node) -> Node:
 # ---------------------------------------------------------------------------
 # composite primitives with dedicated backward rules
 
-def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
+def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
     xv = x.value
     # centre once; the centred rows give the variance and, scaled, xhat
     xhat = xv - xv.mean(axis=-1, keepdims=True)
     inv = np.square(xhat).sum(axis=-1, keepdims=True)
     inv /= xv.shape[-1]
-    inv += eps
+    inv += 1e-5                 # eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -632,8 +632,7 @@ def dwconv3x3_wgrad(x: Node, g_in: Node) -> Node:
 # ---------------------------------------------------------------------------
 # numeric validation
 
-def gradcheck(f: Callable[[dict, Tape], Node], params: dict[str, np.ndarray],
-              eps: float = 1e-5) -> float:
+def gradcheck(f: Callable[[dict, Tape], Node], params: dict[str, np.ndarray]) -> float:
     """Max relative error between tape gradients and central differences.
 
     `f(p, tape)` builds its computation on `tape` from a fresh parameter
@@ -643,6 +642,8 @@ def gradcheck(f: Callable[[dict, Tape], Node], params: dict[str, np.ndarray],
     params must be float64 for the stated tolerances to be meaningful.
     Error metric per entry: |analytic - numeric| / max(1, |numeric|).
     """
+    eps = 1e-5                  # central-difference step
+
     def value(p):
         return f(p, Tape(record=False)).value
 

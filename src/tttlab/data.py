@@ -74,11 +74,11 @@ def crop_shift(image: np.ndarray, pad: int, dy: int, dx: int) -> np.ndarray:
     return np.ascontiguousarray(padded[pad - dy:pad - dy + h, pad - dx:pad - dx + w])
 
 
-def augment(image: np.ndarray, seed, flip: bool = True, crop_pad: int = 4) -> np.ndarray:
+def augment(image: np.ndarray, seed, crop_pad: int = 4) -> np.ndarray:
     """Horizontal flip (p=0.5) and 4-pixel-pad random crop, deterministic per seed."""
     rng = np.random.default_rng(seed)
     out = image
-    if flip and rng.random() < 0.5:
+    if rng.random() < 0.5:
         out = out[:, ::-1, :]
     if crop_pad:
         dy, dx = rng.integers(-crop_pad, crop_pad + 1, size=2)
@@ -118,9 +118,8 @@ class RecallTask:
 
 
 def synth_recall_task(seed: int, n: int, seq_len: int, d: int,
-                      n_keys: int = 32, n_vals: int = 10,
-                      dtype=np.float32) -> RecallTask:
-    """Generate n recall sequences of seq_len tokens with key/value width d each."""
+                      n_keys: int = 32, n_vals: int = 10) -> RecallTask:
+    """Generate n float32 recall sequences of seq_len tokens with key/value width d each."""
     rng = np.random.default_rng(seed)
     pairs = seq_len - 1
     if pairs < 1:
@@ -132,7 +131,7 @@ def synth_recall_task(seed: int, n: int, seq_len: int, d: int,
     val_book = rng.standard_normal((n_vals, d))
     val_book /= np.linalg.norm(val_book, axis=1, keepdims=True)
 
-    tokens = np.zeros((n, seq_len, 2 * d), dtype=dtype)
+    tokens = np.zeros((n, seq_len, 2 * d), dtype=np.float32)
     labels = np.zeros(n, dtype=np.int64)
     pk = np.zeros((n, pairs), dtype=np.int64)
     pv = np.zeros((n, pairs), dtype=np.int64)
@@ -146,7 +145,8 @@ def synth_recall_task(seed: int, n: int, seq_len: int, d: int,
         labels[i] = vals[q]
         pk[i], pv[i] = keys, vals
     return RecallTask(tokens=tokens, labels=labels, pair_keys=pk, pair_vals=pv,
-                      key_book=key_book.astype(dtype), val_book=val_book.astype(dtype))
+                      key_book=key_book.astype(np.float32),
+                      val_book=val_book.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,8 @@ BENCH_CSV_COLUMNS = ("layer", "N", "mean_ms", "p50_ms", "peak_bytes", "flops")
 TASKS = ("recall", "cifar")
 # RunConfig fields that count something and must be at least 1
 POSITIVE_FIELDS = ("threads", "epochs", "batch_size", "train_size", "val_size",
-                   "image_size", "patch_size", "dim", "heads", "depth", "num_classes",
-                   "recall_seq", "recall_width", "recall_keys", "inner_epochs",
-                   "inner_parts")
+                   "patch_size", "dim", "heads", "depth", "recall_seq", "recall_width",
+                   "recall_keys", "inner_epochs", "inner_parts")
 # JSON value checks by RunConfig field annotation; bool is not accepted as a number,
 # nor NaN or an infinity as a float
 _TYPE_CHECKS = {
@@ -71,16 +70,13 @@ class RunConfig:
     train_size: int = 2000
     val_size: int = 500
     data_path: str = ""
-    augment: bool = True
     early_stop_acc: float = 0.0   # stop after epoch >= 5 once val acc exceeds this
-    # model
-    image_size: int = 32
+    # model (cifar: 32-pixel images, 10 classes)
     patch_size: int = 4
     dim: int = 64
     heads: int = 4
     depth: int = 4
     mlp_ratio: float = 4.0
-    num_classes: int = 10
     head_archs: list[str] = field(default_factory=list)
     # recall task shape
     recall_seq: int = 17
@@ -99,9 +95,8 @@ class RunConfig:
                                 dynamic_lr=self.inner_dynamic)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(image_size=self.image_size, patch_size=self.patch_size,
-                           dim=self.dim, heads=self.heads, depth=self.depth,
-                           mlp_ratio=self.mlp_ratio, num_classes=self.num_classes,
+        return ModelConfig(patch_size=self.patch_size, dim=self.dim, heads=self.heads,
+                           depth=self.depth, mlp_ratio=self.mlp_ratio,
                            inner=self.inner_config(),
                            head_archs=tuple(self.head_archs) if self.head_archs else ())
 
@@ -156,12 +151,6 @@ class RunConfig:
                 raise ValueError(f"head_archs {grid_heads} need an image grid, which a "
                                  "recall sequence does not have")
             return self
-        if self.image_size != D.CIFAR_SIDE:
-            raise ValueError(f"image_size {self.image_size} must be {D.CIFAR_SIDE}, the side "
-                             "of a cifar image")
-        if self.num_classes < D.CIFAR_CLASSES:
-            raise ValueError(f"num_classes {self.num_classes} is below the "
-                             f"{D.CIFAR_CLASSES} cifar labels")
         hidden = int(self.mlp_ratio * self.dim)
         if hidden < 1:
             raise ValueError(f"mlp_ratio {self.mlp_ratio} gives an MLP hidden width of "
@@ -276,8 +265,6 @@ def _setup(rc: RunConfig) -> Task:
         return ((x - D.CIFAR_MEAN) / D.CIFAR_STD).astype(np.float32)
 
     def batch(idx, epoch):
-        if not rc.augment:
-            return normalize(train.images[idx])
         return normalize(np.stack([D.augment(train.images[i], seed=(rc.seed, int(i), epoch))
                                    for i in idx]))
 
@@ -290,10 +277,14 @@ def _setup(rc: RunConfig) -> Task:
 # training
 
 def _accuracy(model: M.Classifier, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    """Validation accuracy; a non-finite logit raises DivergenceError."""
     if not len(y):
         return 0.0
-    pred = np.concatenate([M.forward_classifier(model, x[lo:lo + batch_size]).argmax(axis=-1)
-                           for lo in range(0, len(y), batch_size)])
+    logits = [M.forward_classifier(model, x[lo:lo + batch_size])
+              for lo in range(0, len(y), batch_size)]
+    if not all(np.isfinite(z).all() for z in logits):
+        raise DivergenceError("validation logits non-finite")
+    pred = np.concatenate([z.argmax(axis=-1) for z in logits])
     return float((pred == y).mean())
 
 
@@ -334,7 +325,7 @@ def _train(rc: RunConfig) -> tuple[Task, dict]:
                                    weight_decay=rc.weight_decay)
                         losses.append(loss)
                         step += 1
-                acc = _accuracy(model, task.val_x, task.val_y, rc.batch_size)
+                    acc = _accuracy(model, task.val_x, task.val_y, rc.batch_size)
             except DivergenceError:
                 diverged = True
                 writer.writerow([epoch, "nan", "nan", f"{time.perf_counter() - t0:.3f}"])
@@ -542,17 +533,17 @@ def _kink_distance(tape: Tape) -> float:
 
 
 def gradcheck_cell(args: tuple) -> dict:
-    arch_name, loss, dynamic, parts, dim, grid_side = args
+    """One cell of the matrix: a one-head float64 layer of width 6 on a 3x3 token grid."""
+    arch_name, loss, dynamic, parts = args
+    dim, grid = 6, (3, 3)
     arch = get_arch(arch_name)
-    n = grid_side * grid_side
-    grid = (grid_side, grid_side)
     base_seed = zlib.crc32(f"{arch_name}|{loss}|{dynamic}|{parts}".encode())
     cfg = InnerTrainConfig(loss=loss, epochs=1, parts=parts, lr=1.0,
                            dynamic_lr=dynamic)
     for attempt in range(50):
         rng = np.random.default_rng((base_seed + attempt) % 2 ** 31)
         params = TTTLayerParams.create(rng, dim, 1, (arch_name,))
-        x = rng.standard_normal((n, dim))
+        x = rng.standard_normal((grid[0] * grid[1], dim))
 
         def f(p, tape):
             leaves = {k: tape.leaf(v, name=k, param=True) for k, v in p.items()}
@@ -575,10 +566,9 @@ def gradcheck_cell(args: tuple) -> dict:
 
 
 def cmd_gradcheck(rc: RunConfig | None = None, archs=ARCH_NAMES, losses=LOSSES,
-                  tol: float = 1e-4, dim: int = 6, grid_side: int = 3) -> dict:
+                  tol: float = 1e-4) -> dict:
     rc = rc or RunConfig(command="gradcheck")
-    jobs = [(a, l, dyn, parts, dim, grid_side)
-            for a in archs for l in losses
+    jobs = [(a, l, dyn, parts) for a in archs for l in losses
             for dyn in (False, True) for parts in (1, 2)]
     if rc.threads > 1:
         with ProcessPoolExecutor(max_workers=rc.threads) as pool:
@@ -609,19 +599,19 @@ _MIXED_FORMS = {
 }
 
 
-def _generic_point(rng, b, d):
-    """Random (Vhat, V) kept away from the mae/smooth_l1 kink sets."""
+def _generic_point(rng):
+    """Random [4, 6] (Vhat, V) kept away from the mae/smooth_l1 kink sets."""
     while True:
-        vhat = rng.standard_normal((b, d))
-        v = rng.standard_normal((b, d))
+        vhat = rng.standard_normal((4, 6))
+        v = rng.standard_normal((4, 6))
         e = np.abs(vhat - v)
         if e.min() > 1e-3 and np.abs(e - 1.0).min() > 1e-3:
             return vhat, v
 
 
-def mixed_derivative_fd(kind: str, vhat: np.ndarray, v: np.ndarray,
-                        eps: float = 1e-6) -> np.ndarray:
+def mixed_derivative_fd(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Central differences of dL/dVhat_ij with respect to V_ij, entrywise."""
+    eps = 1e-6
     out = np.zeros_like(vhat)
     it = np.nditer(v, flags=["multi_index"])
     for _ in it:
@@ -635,11 +625,11 @@ def mixed_derivative_fd(kind: str, vhat: np.ndarray, v: np.ndarray,
     return out
 
 
-def cmd_lossreport(seed: int = 0, b: int = 4, d: int = 6, tol: float = 1e-5) -> dict:
+def cmd_lossreport(seed: int = 0, tol: float = 1e-5) -> dict:
     rng = np.random.default_rng(seed)
     rows, failures = [], []
     for kind in LOSSES:
-        vhat, v = _generic_point(rng, b, d)
+        vhat, v = _generic_point(rng)
         analytic = mixed_second_derivative(kind, vhat, v)
         numeric = mixed_derivative_fd(kind, vhat, v)
         diff = float(np.abs(analytic - numeric).max())

@@ -188,8 +188,7 @@ class OptState:
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: OptState, lr: float, betas=(0.9, 0.999), eps=1e-8,
-               weight_decay: float = 0.0):
+               state: OptState, lr: float, weight_decay: float = 0.0):
     """Decoupled-weight-decay Adam update, in place; returns (params, state).
 
     Each pass runs once over all parameters packed flat, and each parameter is
@@ -200,7 +199,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         raise ad.ContractError("params do not match the names their OptState was built for")
     state.step += 1
     t = state.step
-    b1, b2 = betas
+    b1, b2 = 0.9, 0.999
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     m, v = state.m, state.v
@@ -210,7 +209,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * g * g
-    update = (m / c1) / (np.sqrt(v / c2) + eps)
+    update = (m / c1) / (np.sqrt(v / c2) + 1e-8)
     flat = np.concatenate([p.ravel() for p in params.values()])
     if weight_decay:
         update += weight_decay * flat

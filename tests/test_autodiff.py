@@ -272,7 +272,7 @@ class TestGradcheck:
             e = ad.sub(vhat, t.leaf(v0))      # MSE with its 1/(B sqrt(d)) scale
             return ad.scale(ad.sum_all(ad.mul(e, e)), 0.5 / (6 * 2))
         params = {f"w{j}": w for j, w in enumerate(ws0)}
-        assert gradcheck(f, params, eps=1e-5) < 1e-6
+        assert gradcheck(f, params) < 1e-6
 
     def test_non_deterministic_function_rejected(self):
         def f(p, t):

@@ -54,8 +54,9 @@ class TestRunConfig:
         assert back == rc
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig.from_json('{"no_such_field": 1}')
+        for doc in ('{"no_such_field": 1}', '{"augment": false}'):
+            with pytest.raises(ValueError, match="unknown RunConfig fields"):
+                RunConfig.from_json(doc)
 
     def test_fingerprint_keys(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -71,7 +72,7 @@ class TestRunConfig:
                                        "M_TRIM_THRESHOLD": 1 << 30}
         json.dumps(fp)
 
-    @pytest.mark.parametrize("doc", [{"epochs": "10"}, {"lr": "0.1"}, {"augment": 1},
+    @pytest.mark.parametrize("doc", [{"epochs": "10"}, {"lr": "0.1"}, {"inner_dynamic": 1},
                                      {"dim": 64.0}, {"heads": True}, {"head_archs": "fc"},
                                      {"head_archs": [1, 2]}, {"task": None}])
     def test_wrong_type_rejected(self, doc):
@@ -112,11 +113,12 @@ class TestRunConfig:
     @pytest.mark.parametrize("doc, match", [
         ({"recall_seq": 1}, r"recall_seq 1 must be in \[2, recall_keys \+ 1 = 33\]"),
         ({"recall_seq": 40, "recall_keys": 32}, r"recall_seq 40 must be in \[2, .* = 33\]"),
-        ({"task": "cifar", "image_size": 30}, "patch_size 4 does not divide image_size 30"),
+        ({"task": "cifar", "patch_size": 5}, "patch_size 5 does not divide image_size 32"),
         ({"inner_parts": 18}, "inner_parts 18 exceeds the 17 tokens of a recall sample"),
         ({"task": "cifar", "inner_parts": 65}, "inner_parts 65 exceeds the 64 tokens"),
-        ({"task": "cifar", "image_size": 16}, "image_size 16 must be 32"),
-        ({"task": "cifar", "num_classes": 9}, "num_classes 9 is below the 10 cifar labels"),
+        # cifar's image side and class count are constants, not fields
+        ({"task": "cifar", "image_size": 16}, r"unknown RunConfig fields: \['image_size'\]"),
+        ({"task": "cifar", "num_classes": 9}, r"unknown RunConfig fields: \['num_classes'\]"),
         ({"heads": 2, "head_archs": ["conv3x3", "dwconv3x3"]},
          r"head_archs \['conv3x3', 'dwconv3x3'\] need an image grid"),
         ({"heads": 2, "head_archs": ["gated_fc", "dwconv3x3"]},
@@ -130,8 +132,8 @@ class TestRunConfig:
     def test_task_shape_limits_accepted(self):
         RunConfig.from_json('{"recall_seq": 33, "recall_keys": 32, "inner_parts": 33}')
         RunConfig.from_json('{"task": "cifar", "inner_parts": 64, "recall_seq": 1}')
-        # recall reads no image, class count or MLP width
-        RunConfig.from_json('{"image_size": 16, "num_classes": 2, "mlp_ratio": 0.01}')
+        # recall reads no MLP width
+        RunConfig.from_json('{"mlp_ratio": 0.01}')
 
 
 @st.composite
@@ -145,7 +147,6 @@ def tiny_run_docs(draw):
         "heads": heads,
         "depth": 1,
         "patch_size": draw(st.sampled_from([8, 16])),
-        "num_classes": draw(st.sampled_from([10, 12])),
         "mlp_ratio": draw(st.sampled_from([2.0, 0.5])),
         "head_archs": draw(st.one_of(st.just([]), st.lists(
             st.sampled_from(inner_mod.ARCH_NAMES), min_size=heads, max_size=heads))),
@@ -158,8 +159,7 @@ def tiny_run_docs(draw):
         "epochs": 1, "batch_size": 8, "train_size": 16, "val_size": 8, "warmup_epochs": 1,
     }
     unusable = {"heads": 3, "patch_size": 5, "inner_parts": 99, "recall_seq": 40,
-                "image_size": 16, "num_classes": 4, "mlp_ratio": 0.05,
-                "head_archs": ["dwconv3x3"] * heads}
+                "mlp_ratio": 0.05, "head_archs": ["dwconv3x3"] * heads}
     for name in {draw(st.sampled_from([None, *unusable])) for _ in range(2)} - {None}:
         doc[name] = unusable[name]
     return doc
@@ -237,6 +237,20 @@ class TestCmdTrain:
         doc = read_json(report["manifest"])
         assert doc["status"] == "diverged"
 
+    def test_non_finite_validation_logit_is_divergence(self, tmp_path, monkeypatch):
+        # an overflowed eval forward is a divergence, not an accuracy
+        forward = M.forward_classifier
+
+        def overflowed(model, x):
+            logits = forward(model, x)
+            logits[-1, 0] = np.nan
+            return logits
+        monkeypatch.setattr(M, "forward_classifier", overflowed)
+        report = cmd_train(small_recall_rc(str(tmp_path), epochs=2))
+        assert report["diverged"] and report["rows"] == []
+        assert read_csv(report["csv"])[1][:3] == ["0", "nan", "nan"]
+        assert read_json(report["manifest"])["status"] == "diverged"
+
     def test_recall_stops_early_once_target_met(self, tmp_path):
         # the target is below chance, so training stops at the earliest allowed epoch, the 5th
         rc = small_recall_rc(str(tmp_path), epochs=8, early_stop_acc=0.01)
@@ -312,8 +326,8 @@ class TestCmdAblate:
         monkeypatch.delenv("TTTLAB_CIFAR10", raising=False)
         monkeypatch.chdir(tmp_path)
         rc = RunConfig(task="cifar", seed=0, out_dir=str(tmp_path / "grid"), epochs=1,
-                       train_size=32, val_size=16, batch_size=16, image_size=32,
-                       patch_size=8, dim=16, heads=2, depth=1, warmup_epochs=0)
+                       train_size=32, val_size=16, batch_size=16, patch_size=8, dim=16,
+                       heads=2, depth=1, warmup_epochs=0)
         cmd_ablate(rc, {"inner_lr": [0.5, 1.0], "seeds": [0]})
         sets = [root for root, _, files in os.walk(tmp_path) if "data_batch_1.bin" in files]
         assert len(sets) == 1

@@ -377,13 +377,18 @@ class TestForwardOnce:
 
 
 def derived_and_backward_grads(name, lead, record):
-    """An arch's derived weight gradients for a cotangent dv, and Tape.backward's
-    gradients of sum(forward * dv), which the ops' own vjps compute."""
+    """`walker_and_backward_grads` of a registered arch on a seeded [.., 9, 3] input."""
     arch = get_arch(name)
     rng = np.random.default_rng(13)
     w0 = arch.init(rng, 3)
     x0 = rng.standard_normal((*lead, 9, 3))
     dv0 = rng.standard_normal((*lead, 9, 3))
+    return walker_and_backward_grads(arch, w0, x0, dv0, record)
+
+
+def walker_and_backward_grads(arch, w0, x0, dv0, record):
+    """An arch's derived weight gradients for a cotangent dv, and Tape.backward's
+    gradients of sum(forward * dv), which the ops' own vjps compute."""
     t = Tape(record=record)
     out, pullback = arch.forward_pullback([t.leaf(w) for w in w0], t.leaf(x0), (3, 3))
     derived = [g.value for g in pullback(t.leaf(dv0))]
@@ -428,6 +433,92 @@ class TestDerivedWeightGrads:
         out, pullback = Arch().forward_pullback(ws, t.leaf(RNG.standard_normal((4, 3))))
         with pytest.raises(ContractError, match=f"'{op}'"):
             pullback(t.leaf(np.ones((4, 3))))
+
+
+@st.composite
+def ruled_programs(draw):
+    """A random inner forward over the walker's ruled ops, as steps over a pool
+    of [.., 9, 3] nodes that starts with the data x, plus the kind of each weight.
+    The first step uses a weight, so the forward always depends on one."""
+    dep = [False]
+    steps, kinds = [], []
+    for k in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(["matmul", "dwconv3x3"] if k == 0 else
+                                  ["matmul", "dwconv3x3", "mul", "add", "silu", "reshape"]))
+        any_node = st.integers(0, len(dep) - 1)
+        if op == "matmul":
+            steps.append((op, draw(any_node), len(kinds)))
+            kinds.append(draw(st.sampled_from(["shared", "per_sample", "reshaped"])))
+        elif op == "dwconv3x3":
+            # the walker's conv rule takes a data grid and a weight kernel
+            steps.append((op, draw(st.sampled_from([i for i, d in enumerate(dep) if not d])),
+                          len(kinds)))
+            kinds.append("kernel")
+        elif op in ("mul", "add"):
+            steps.append((op, draw(st.sampled_from([i for i, d in enumerate(dep) if d])),
+                          draw(any_node)))
+        else:
+            steps.append((op, draw(any_node)))
+        dep.append(op in ("matmul", "dwconv3x3", "mul", "add") or dep[steps[-1][1]])
+    return steps, kinds, dep
+
+
+class Composed(InnerArch):
+    """The forward of a drawn program; its output sums every weight-dependent node,
+    so every weight reaches it."""
+
+    def __init__(self, steps, kinds, dep):
+        self.steps, self.kinds, self.dep = steps, kinds, dep
+
+    def forward(self, ws, x, grid=None):
+        pool, d = [x], x.value.shape[-1]
+        for op, i, *rest in self.steps:
+            a = pool[i]
+            if op == "matmul":
+                w = ws[rest[0]]
+                if self.kinds[rest[0]] == "reshaped":   # a weight kept flat
+                    w = ad.reshape(w, (d, d))
+                pool.append(ad.matmul(a, w))
+            elif op == "dwconv3x3":
+                g = ad.reshape(a, (*a.value.shape[:-2], *grid, d))
+                pool.append(ad.reshape(ad.dwconv3x3(g, ws[rest[0]]), a.value.shape))
+            elif op in ("mul", "add"):
+                pool.append(getattr(ad, op)(a, pool[rest[0]]))
+            elif op == "silu":
+                pool.append(ad.silu(a))
+            else:
+                flat = ad.reshape(a, (*a.value.shape[:-2], 9 * d))
+                pool.append(ad.reshape(flat, a.value.shape))
+        out = None
+        for node, dependent in zip(pool, self.dep):
+            if dependent:
+                out = node if out is None else ad.add(out, node)
+        return out
+
+
+class TestWalkerOnComposedForwards:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(program=ruled_programs(), batched=st.booleans(), record=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_pullback_equals_backward(self, program, batched, record, seed):
+        steps, kinds, dep = program
+        lead, d = ((2,) if batched else ()), 3
+        rng = np.random.default_rng(seed)
+        shapes = {"shared": (d, d), "per_sample": (*lead, d, d), "reshaped": (d * d,),
+                  "kernel": (3, 3, d)}
+        w0 = [rng.standard_normal(shapes[k]) / d for k in kinds]
+        x0 = rng.standard_normal((*lead, 9, d))
+        dv0 = rng.standard_normal((*lead, 9, d))
+        derived, expect = walker_and_backward_grads(Composed(steps, kinds, dep), w0, x0,
+                                                    dv0, record)
+        for g, e in zip(derived, expect, strict=True):
+            if not batched:
+                assert g.shape == e.shape and np.array_equal(g, e)
+                continue
+            if g.shape != e.shape:          # a shared weight's per-sample gradients
+                assert g.shape == (2, *e.shape)
+                g = g.sum(axis=0)
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
 
 
 def full_grid_update(arch, ws, k, v, cfg, rate, grid):
