@@ -17,8 +17,9 @@ op can be recorded there. Backward spends the graph (`Tape.release`): it
 marks the tape spent and drops each node's vjp and inputs. Node values, ops
 and indices stay readable.
 
-A vjp computes a cotangent only for an input that requires one; it returns
-None for a data leaf or a constant.
+Every tensor operand of an op is a node; a constant enters as a leaf. A vjp
+computes a cotangent only for an input that requires one; it returns None for
+a data leaf or a constant.
 
 A `Tape(record=False)` runs the same ops on the same values but records
 nothing: its nodes keep no inputs and no vjp and are not listed, so each
@@ -27,6 +28,8 @@ only want a forward value build on it.
 
 `Tape.tracing()` lists the ops pushed inside it with their inputs, on either
 kind of tape, so a caller can walk back over one forward it ran.
+`Tape.weight_grads` is that walk for an inner model: from one traced forward
+it builds the weights' gradients as tape expressions, one rule per op.
 """
 
 from __future__ import annotations
@@ -79,10 +82,6 @@ class Node:
             raise ContractError("this node's tape was spent by backward, released or "
                                 "dropped by its owner; record the computation on a new Tape")
         return tape
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def __repr__(self):
         return f"Node({self.op}, shape={self.value.shape}, id={self.idx})"
@@ -143,6 +142,62 @@ class Tape:
             yield ops
         finally:
             self.trace = None
+
+    def weight_grads(self, ops: list, ws: list[Node], out: Node, dv: Node) -> list[Node]:
+        """Cotangents of ws from the traced ops of one forward, one rule per op.
+
+        Walks the ops (a `tracing()` list) in reverse from out's cotangent dv,
+        and sends cotangents only to the nodes that depend on a weight. Each
+        cotangent is built from this module's ops, so it is a tape expression
+        that a later backward differentiates again. A node reached from several
+        consumers sums its cotangents with `add`. The rules: matmul, same-shape
+        mul and add, silu, reshape, and dwconv3x3 over a data grid.
+        """
+        dep = set(ws)
+        for node, inputs in ops:
+            if not dep.isdisjoint(inputs):
+                dep.add(node)
+        cot = {out: dv}
+        transposed = {}
+
+        def t(a):                       # one transpose per node, shared by its uses
+            if a not in transposed:
+                transposed[a] = transpose(a)
+            return transposed[a]
+
+        def send(a, g):
+            cot[a] = g if a not in cot else add(cot[a], g)
+
+        for node, inputs in reversed(ops):
+            g = cot.pop(node, None)
+            if g is None:
+                continue
+            op, (a, b) = node.op, (*inputs, None)[:2]
+            if op == "matmul":
+                # the weight's cotangent first: it fixes the order of dv's consumers
+                if b in dep:
+                    send(b, matmul(t(a), g))
+                if a in dep:
+                    send(a, matmul(g, t(b)))
+            elif op in ("mul", "add") and a.value.shape == b.value.shape:
+                for c, other in ((a, b), (b, a)):
+                    if c in dep:
+                        send(c, g if op == "add" else mul(g, other))
+            elif op == "silu":
+                send(a, mul(g, silu_prime(a)))
+            elif op == "reshape":
+                # a shared weight's cotangent keeps the per-sample axes matmul gave it
+                lead = g.value.shape[:g.value.ndim - node.value.ndim]
+                send(a, reshape(g, (*lead, *a.value.shape)))
+            elif op == "dwconv3x3" and a not in dep:
+                gk = dwconv3x3_wgrad(a, g)   # per sample; an unbatched grid has one
+                if a.value.ndim == 3:
+                    gk = reshape(gk, gk.value.shape[1:])
+                send(b, gk)
+            else:
+                raise ContractError(f"no weight-gradient rule for {op!r} with these "
+                                    "operands on a weight's path")
+        return [cot[w] for w in ws]
 
     def release(self) -> None:
         """Spend the graph: drop every node's vjp and inputs.
@@ -249,17 +304,10 @@ def _checked_vjp(vjp, op: str):
     return checked
 
 
-def _coerce(a, like: Node) -> Node:
-    if isinstance(a, Node):
-        return a
-    return like.tape.leaf(np.asarray(a, dtype=like.value.dtype))
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def add(a: Node, b) -> Node:
-    b = _coerce(b, a)
+def add(a: Node, b: Node) -> Node:
     T._shape_compatible(a.value, b.value, "add")
     T._tick(max(np.size(a.value), np.size(b.value)))
     out = np.add(a.value, b.value)
@@ -271,8 +319,7 @@ def add(a: Node, b) -> Node:
     return a.tape.push(out, (a, b), vjp, "add")
 
 
-def sub(a: Node, b) -> Node:
-    b = _coerce(b, a)
+def sub(a: Node, b: Node) -> Node:
     T._shape_compatible(a.value, b.value, "sub")
     T._tick(max(np.size(a.value), np.size(b.value)))
     out = np.subtract(a.value, b.value)
@@ -284,8 +331,7 @@ def sub(a: Node, b) -> Node:
     return a.tape.push(out, (a, b), vjp, "sub")
 
 
-def mul(a: Node, b) -> Node:
-    b = _coerce(b, a)
+def mul(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
     T._shape_compatible(av, bv, "mul")
     T._tick(max(np.size(av), np.size(bv)))

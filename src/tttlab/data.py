@@ -103,11 +103,7 @@ class RecallTask:
     pair_keys: np.ndarray  # [n, N-1] key ids, for construction checks
     pair_vals: np.ndarray  # [n, N-1] value ids
     key_book: np.ndarray   # [n_keys, dk]
-    val_book: np.ndarray   # [n_vals, dv]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[-1]
+    val_book: np.ndarray   # [10, dv]
 
     @property
     def n_classes(self) -> int:
@@ -118,8 +114,9 @@ class RecallTask:
 
 
 def synth_recall_task(seed: int, n: int, seq_len: int, d: int,
-                      n_keys: int = 32, n_vals: int = 10) -> RecallTask:
+                      n_keys: int = 32) -> RecallTask:
     """Generate n float32 recall sequences of seq_len tokens with key/value width d each."""
+    n_vals = 10                 # value codebook size: the task's ten classes
     rng = np.random.default_rng(seed)
     pairs = seq_len - 1
     if pairs < 1:

@@ -3,10 +3,10 @@
 The inner model F_W maps R^d -> R^d; its weights are fitted to (K, V) token
 pairs by a few explicit gradient steps. Every step is expressed in tape
 primitives, so outer-loop gradients flow through the unrolled updates in one
-reverse pass. An architecture states only its forward; its weight gradient
-is derived from that forward's traced ops, one rule per op (`_weight_grads`),
-while the loss gradients stay analytic. The full 3x3 conv is im2col patches
-times a matmul, so it needs no rule of its own.
+reverse pass. An architecture states only its forward; the tape derives its
+weight gradient from that forward's traced ops, one rule per op
+(`Tape.weight_grads`), while the loss gradients stay analytic. The full 3x3
+conv is im2col patches times a matmul, so it needs no rule of its own.
 
 Loss convention: all five losses carry the 1/(B*sqrt(d)) scale, so an inner
 learning rate of 1.0 is a meaningful default.
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tensor as T
-from .autodiff import ContractError, Node, Tape
+from .autodiff import Node, Tape
 
 LOSSES = ("dot", "mse", "rmse", "mae", "smooth_l1")
 
@@ -149,70 +149,16 @@ class InnerArch:
         """Run the forward once; return (out, pullback).
 
         `pullback(dvhat)` builds the gradients of sum(out * dvhat) w.r.t. ws
-        as tape expressions of this forward's own nodes (`_weight_grads`).
+        as tape expressions of this forward's own nodes (`Tape.weight_grads`).
         """
-        with x.tape.tracing() as ops:
+        tape = x.tape
+        with tape.tracing() as ops:
             out = self.forward(ws, x, grid)
-        return out, lambda dv: _weight_grads(ops, ws, out, dv)
+        return out, lambda dv: tape.weight_grads(ops, ws, out, dv)
 
     def context(self, lo: int, hi: int, grid=None) -> tuple[int, int]:
         """Token rows [clo, chi) whose inputs determine the outputs [lo, hi)."""
         return lo, hi
-
-
-def _weight_grads(ops: list, ws: list[Node], out: Node, dv: Node) -> list[Node]:
-    """Cotangents of ws from the traced ops of one forward, one rule per op.
-
-    Walks the ops in reverse from out's cotangent dv, and sends cotangents
-    only to the nodes that depend on a weight. A node reached from several
-    consumers sums its cotangents with `ad.add`. The rules: matmul,
-    same-shape mul and add, silu, reshape, and dwconv3x3 over a data grid.
-    """
-    dep = set(ws)
-    for node, inputs in ops:
-        if not dep.isdisjoint(inputs):
-            dep.add(node)
-    cot = {out: dv}
-    transposed = {}
-
-    def t(a):                       # one transpose per node, shared by its uses
-        if a not in transposed:
-            transposed[a] = ad.transpose(a)
-        return transposed[a]
-
-    def send(a, g):
-        cot[a] = g if a not in cot else ad.add(cot[a], g)
-
-    for node, inputs in reversed(ops):
-        g = cot.pop(node, None)
-        if g is None:
-            continue
-        op, (a, b) = node.op, (*inputs, None)[:2]
-        if op == "matmul":
-            # the weight's cotangent first: it fixes the order of dv's consumers
-            if b in dep:
-                send(b, ad.matmul(t(a), g))
-            if a in dep:
-                send(a, ad.matmul(g, t(b)))
-        elif op in ("mul", "add") and a.value.shape == b.value.shape:
-            for c, other in ((a, b), (b, a)):
-                if c in dep:
-                    send(c, g if op == "add" else ad.mul(g, other))
-        elif op == "silu":
-            send(a, ad.mul(g, ad.silu_prime(a)))
-        elif op == "reshape":
-            # a shared weight's cotangent keeps the per-sample axes matmul gave it
-            lead = g.value.shape[:g.value.ndim - node.value.ndim]
-            send(a, ad.reshape(g, (*lead, *a.value.shape)))
-        elif op == "dwconv3x3" and a not in dep:
-            gk = ad.dwconv3x3_wgrad(a, g)   # per sample; an unbatched grid has one
-            if a.value.ndim == 3:
-                gk = ad.reshape(gk, gk.value.shape[1:])
-            send(b, gk)
-        else:
-            raise ContractError(f"no weight-gradient rule for {op!r} with these operands "
-                                "on a weight's path")
-    return [cot[w] for w in ws]
 
 
 class FC(InnerArch):

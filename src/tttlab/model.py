@@ -49,8 +49,6 @@ class ModelConfig:
                                    f"image_size {self.image_size}")
         if not self.head_archs:
             self.head_archs = default_head_archs(self.heads)
-        if isinstance(self.head_archs, list):
-            self.head_archs = tuple(self.head_archs)
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -156,8 +154,6 @@ def forward_classifier(model: Classifier, x: np.ndarray) -> np.ndarray:
 
 def unfold_patches(images: np.ndarray, p: int) -> np.ndarray:
     """[b, H, W, 3] -> [b, N, p*p*3] non-overlapping patch rows (raster order)."""
-    if images.ndim == 3:
-        images = images[None]
     b, h, w, c = images.shape
     if h % p or w % p:
         raise T.DimensionError(f"patch {p} does not divide image {h}x{w}")

@@ -53,9 +53,6 @@ class FlopCounter:
     def __init__(self):
         self.total = 0
 
-    def add(self, n: int) -> None:
-        self.total += int(n)
-
 
 _counter: FlopCounter | None = None
 
@@ -77,7 +74,7 @@ class count_flops:
 
 def _tick(n: int) -> None:
     if _counter is not None:
-        _counter.add(n)
+        _counter.total += int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +285,23 @@ def write_tensor(fp, arr: np.ndarray) -> int:
     return offset
 
 
+def _read_exact(fp, n: int) -> bytes:
+    """The next n bytes of a record; fewer means the record was cut."""
+    buf = fp.read(n)
+    if len(buf) != n:
+        raise ValueError("truncated tensor record")
+    return buf
+
+
 def read_tensor(fp) -> np.ndarray:
-    magic = fp.read(4)
+    magic = _read_exact(fp, 4)
     if magic != _MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}")
-    code, rank = struct.unpack("<BB", fp.read(2))
+    code, rank = struct.unpack("<BB", _read_exact(fp, 2))
     if code not in _DTYPES:
         raise ValueError(f"unknown dtype code {code}")
-    shape = tuple(struct.unpack("<I", fp.read(4))[0] for _ in range(rank))
+    shape = struct.unpack(f"<{rank}I", _read_exact(fp, 4 * rank))
     dtype = _DTYPES[code]
     n = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fp.read(n * dtype.itemsize), dtype=dtype)
-    if data.size != n:
-        raise ValueError("truncated tensor record")
+    data = np.frombuffer(_read_exact(fp, n * dtype.itemsize), dtype=dtype)
     return data.reshape(shape).astype(dtype.newbyteorder("="))

@@ -452,8 +452,6 @@ class TestTapeLifetime:
         t.backward(ad.sum_all(y))
         with pytest.raises(ContractError, match="spent"):
             ad.add(y, x)
-        with pytest.raises(ContractError, match="spent"):
-            ad.add(y, 1.0)
 
     def test_node_refers_to_its_live_tape(self):
         t = Tape()
@@ -466,8 +464,6 @@ class TestTapeLifetime:
         for node in (x, y):
             with pytest.raises(ContractError, match="dropped"):
                 ad.mul(node, node)
-            with pytest.raises(ContractError, match="dropped"):
-                ad.add(node, 1.0)
 
     def test_dropped_recording_evals_do_not_pile_up(self):
         # the cyclic GC stays on: only a tape no one owns any more may be freed
@@ -695,7 +691,7 @@ class TestNonRecordingTape:
     def test_records_nothing(self):
         t = Tape(record=False)
         x = t.leaf(np.arange(6.0).reshape(2, 3), name="x", param=True)
-        y = ad.sum_all(ad.mul(ad.matmul(x, ad.transpose(x)), 2.0))
+        y = ad.sum_all(ad.scale(ad.matmul(x, ad.transpose(x)), 2.0))
         assert t.nodes == [] and t.params == {}
         assert float(y.value) == 166.0
         assert y.inputs == () and y.vjp is None and not y.requires
@@ -737,9 +733,23 @@ class TestNonRecordingTape:
 # ---------------------------------------------------------------------------
 # every public tape op has a caller in the library
 
+def _bare_calls_from_other_functions(path: str) -> set[str]:
+    """Names called bare inside each top-level function or method of a module,
+    leaving out a function's calls to its own name."""
+    with open(path) as fp:
+        tree = ast.parse(fp.read())
+    defs = [d for top in tree.body
+            for d in (top.body if isinstance(top, ast.ClassDef) else [top])
+            if isinstance(d, ast.FunctionDef)]
+    return {node.func.id for d in defs for node in ast.walk(d)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id != d.name}
+
+
 class TestNoDeadOps:
     def test_every_public_op_is_called_as_ad_op(self):
-        # the public ops as perfbench/spans.public_ops lists them, called as ad.<op>,
+        # the public ops as perfbench/spans.public_ops lists them, called as ad.<op> or
+        # by bare name from another autodiff function (the tape's weight-gradient walk),
         # and every public tensor kernel but set_debug (the user's switch), as T.<name>
         src = os.path.dirname(ad.__file__)
         for module, alias in ((ad, "ad"), (T, "T")):
@@ -755,4 +765,6 @@ class TestNoDeadOps:
                     used |= {node.attr for node in ast.walk(tree)
                              if isinstance(node, ast.Attribute)
                              and isinstance(node.value, ast.Name) and node.value.id == alias}
+            if module is ad:
+                used |= _bare_calls_from_other_functions(ad.__file__)
             assert sorted(public - used) == [], alias

@@ -110,7 +110,7 @@ class TestSynthRecall:
             assert task.labels[i] == vals[matches[0]]
 
     def test_query_label_in_range(self):
-        task = synth_recall_task(5, 50, 9, 4, n_vals=10)
+        task = synth_recall_task(5, 50, 9, 4)
         assert task.labels.min() >= 0 and task.labels.max() < 10
 
 

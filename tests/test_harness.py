@@ -251,6 +251,32 @@ class TestCmdTrain:
         assert read_csv(report["csv"])[1][:3] == ["0", "nan", "nan"]
         assert read_json(report["manifest"])["status"] == "diverged"
 
+    def test_non_finite_outer_loss_is_divergence(self, tmp_path, monkeypatch):
+        # a NaN loss on the first step stops the run before AdamW takes it; `train` exits 3
+        import tttlab.cli as cli
+        loss_and_grads, steps, reports = M.Classifier.loss_and_grads, [], []
+
+        def nan_first(model, x, labels):
+            steps.append(len(labels))
+            loss, grads, logits = loss_and_grads(model, x, labels)
+            return (np.nan if len(steps) == 1 else loss), grads, logits
+
+        def train(rc):
+            report = cmd_train(rc)
+            reports.append(report)
+            return report
+        monkeypatch.setattr(M.Classifier, "loss_and_grads", nan_first)
+        monkeypatch.setattr(cli, "cmd_train", train)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(small_recall_rc(str(tmp_path / "r"), epochs=2, train_size=128,
+                                       val_size=32).to_json())
+        assert cli.main(["train", "--config", str(cfg)]) == 3
+        report, = reports
+        assert len(steps) == 1
+        assert report["diverged"] and report["rows"] == []
+        assert read_csv(report["csv"])[1][:3] == ["0", "nan", "nan"]
+        assert read_json(report["manifest"])["status"] == "diverged"
+
     def test_recall_stops_early_once_target_met(self, tmp_path):
         # the target is below chance, so training stops at the earliest allowed epoch, the 5th
         rc = small_recall_rc(str(tmp_path), epochs=8, early_stop_acc=0.01)
@@ -425,6 +451,29 @@ class TestCli:
     def test_lossreport_exit(self):
         from tttlab.cli import main
         assert main(["lossreport"]) == 0
+
+    def test_lossreport_mismatch_exits_1(self, capsys):
+        from tttlab.cli import main
+        assert main(["lossreport", "--tol", "0"]) == 1
+        assert "mismatches" in capsys.readouterr().out
+
+    def test_ablate_grid_file(self, tmp_path):
+        from tttlab.cli import main
+        cfg, grid = tmp_path / "cfg.json", tmp_path / "grid.json"
+        cfg.write_text(small_recall_rc(str(tmp_path / "a"), epochs=1, train_size=64,
+                                       val_size=32).to_json())
+        grid.write_text(json.dumps({"inner_lr": [1.0], "seeds": [0]}))
+        assert main(["ablate", "--config", str(cfg), "--grid", str(grid)]) == 0
+        rows = read_csv(tmp_path / "a" / "ablate.csv")
+        assert rows[0] == list(ABLATE_CSV_COLUMNS) and len(rows) == 2
+
+    def test_gradcheck_failure_exits_1(self, monkeypatch, capsys):
+        import tttlab.cli as cli
+        cell = {"arch": "fc", "loss": "mse", "max_rel_err": 1.0}
+        monkeypatch.setattr(cli, "cmd_gradcheck",
+                            lambda rc, tol: {"cells": [cell], "failures": [cell]})
+        assert cli.main(["gradcheck", "--threads", "1"]) == 1
+        assert "1 cells FAILED" in capsys.readouterr().out
 
     def test_config_file_round_trip(self, tmp_path):
         from tttlab.cli import main

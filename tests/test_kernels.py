@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 from tttlab import autodiff as ad
+from tttlab import data as D
 from tttlab import tensor as T
 from tttlab.autodiff import Tape, _unbroadcast
-from tttlab.inner import get_arch
+from tttlab.harness import RecallModel, RunConfig
+from tttlab.inner import InnerTrainConfig, get_arch
+from tttlab.model import Model, ModelConfig
 
 RTOL = {np.float32: 1e-6, np.float64: 1e-12}
 DTYPES = (np.float32, np.float64)
@@ -544,3 +547,45 @@ class TestDebugReadWhenRecorded:
         T.set_debug(True)
         da, db = node.vjp(nan_like(node.value))
         assert np.isnan(da).all() and np.isnan(db).all()
+
+
+def _cifar_step():
+    # the dwconv head's wider context pads its mini-batch cotangents back (pad_rows)
+    cfg = ModelConfig(image_size=8, patch_size=4, dim=8, heads=2, depth=1,
+                      head_archs=("dwconv3x3", "gated_fc"), inner=InnerTrainConfig(parts=2))
+    model = Model(cfg, np.random.default_rng(0))
+    images = np.random.default_rng(1).random((2, 8, 8, 3)).astype(np.float32)
+    return lambda: model.loss_and_grads(images, np.array([1, 7]))
+
+
+def _recall_step():
+    rc = RunConfig(dim=8, heads=2, recall_seq=5, recall_width=4, recall_keys=6)
+    task = D.synth_recall_task(0, 4, rc.recall_seq, rc.recall_width, n_keys=rc.recall_keys)
+    model = RecallModel(rc, task.n_classes, np.random.default_rng(2))
+    return lambda: model.loss_and_grads(task.tokens, task.labels)
+
+
+WALK_OPS = {"transpose", "matmul", "mul", "silu_prime"}
+
+
+class TestDebugOnFiniteStep:
+    @pytest.mark.parametrize("make, ops", [
+        (_cifar_step, WALK_OPS | {"rows", "pad_rows", "reshape", "dwconv3x3_wgrad"}),
+        (_recall_step, WALK_OPS),
+    ])
+    def test_checks_change_nothing(self, debug, monkeypatch, make, ops):
+        step = make()
+        T.set_debug(False)
+        loss, grads, _ = step()
+        recorded, push = set(), Tape.push
+
+        def spy(tape, value, inputs, vjp, op):
+            recorded.add(op)
+            return push(tape, value, inputs, vjp, op)
+        monkeypatch.setattr(Tape, "push", spy)
+        T.set_debug(True)
+        checked_loss, checked_grads, _ = step()
+        assert ops <= recorded
+        assert np.array_equal(checked_loss, loss) and checked_grads.keys() == grads.keys()
+        for name in grads:
+            assert np.array_equal(checked_grads[name], grads[name]), name

@@ -321,6 +321,17 @@ class TestCheckpoint:
         assert all(isinstance(v, int) for v in doc["index"].values())
         assert sorted(doc["index"]) == sorted(model.params)
 
+    def test_cut_checkpoint_is_truncated(self, tmp_path):
+        import json
+        path = tmp_path / "ck"
+        save_checkpoint(str(path), {"a": np.ones((2, 3), np.float32),
+                                    "b": np.ones(4, np.float32)})
+        last = max(json.loads((path / "checkpoint.json").read_text())["index"].values())
+        data = (path / "checkpoint.bin").read_bytes()
+        (path / "checkpoint.bin").write_bytes(data[:last + 8])   # inside b's extent
+        with pytest.raises(ValueError, match="truncated tensor record"):
+            load_checkpoint(str(path))
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck")
         model = Model(ModelConfig(depth=1), np.random.default_rng(8))

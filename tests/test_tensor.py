@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -207,6 +208,27 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             T.read_tensor(io.BytesIO(b"NOPE" + b"\x00" * 16))
+
+    def test_every_cut_of_a_record_is_truncated(self):
+        # a cut in the magic, the dtype/rank bytes, an extent or the data reads alike
+        buf = io.BytesIO()
+        T.write_tensor(buf, np.arange(6, dtype=np.float32).reshape(2, 3))
+        record = buf.getvalue()
+        assert len(record) == 38
+        for cut in range(len(record)):
+            with pytest.raises(ValueError, match="^truncated tensor record$"):
+                T.read_tensor(io.BytesIO(record[:cut]))
+
+    def test_unknown_dtype_code(self):
+        record = b"TTT1" + struct.pack("<BBI", 7, 1, 2) + b"\x00" * 8
+        with pytest.raises(ValueError, match="unknown dtype code 7"):
+            T.read_tensor(io.BytesIO(record))
+
+    def test_float16_write_refused(self):
+        buf = io.BytesIO()
+        with pytest.raises(T.DimensionError, match="unsupported dtype float16"):
+            T.write_tensor(buf, np.zeros(2, dtype=np.float16))
+        assert buf.getvalue() == b""
 
     @given(st.lists(st.integers(1, 5), min_size=0, max_size=4),
            st.integers(0, 2 ** 31 - 1))
