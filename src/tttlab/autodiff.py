@@ -99,13 +99,13 @@ class Tape:
         self._ref = weakref.ref(self)
 
     def leaf(self, value: np.ndarray, name: str | None = None, param: bool = False) -> Node:
+        if param and name is None:
+            raise ContractError("a parameter leaf needs a name")
         if not self.record:
             return Node(self._ref, None, np.asarray(value), (), None, False, "leaf")
         node = Node(self._ref, len(self.nodes), np.asarray(value), (), None, param, "leaf")
         self.nodes.append(node)
         if param:
-            if name is None:
-                name = f"param{len(self.params)}"
             if name in self.params:
                 raise ContractError(f"duplicate parameter name {name!r}")
             self.params[name] = node

@@ -26,8 +26,8 @@ from . import autodiff as ad
 from . import data as D
 from . import model as M
 from .autodiff import Tape, gradcheck
-from .inner import (ARCH_NAMES, LOSSES, DivergenceError, InnerTrainConfig,
-                    get_arch, inner_loss_grad, mixed_second_derivative)
+from .inner import (ARCH_NAMES, INNER_LOSSES, LOSSES, DivergenceError, InnerTrainConfig,
+                    get_arch, inner_loss_grad)
 from .layer import TTTLayerParams, softmax_attention, ttt_attention_nodes
 from .model import (Model, ModelConfig, OptState, adamw_step, cosine_warmup_lr,
                     save_checkpoint, ttt_layer_flops)
@@ -516,18 +516,20 @@ def loglog_slope(ns, ts) -> float:
 # ---------------------------------------------------------------------------
 # gradcheck command
 
+# the registry's kinks: op -> the |input| at which it is not differentiable
+_KINKS = dict(loss.kink for loss in INNER_LOSSES.values() if loss.kink)
+
+
 def _kink_distance(tape: Tape) -> float:
-    """Distance of every sign/huber_prime input from its non-differentiable set.
+    """Distance of every kink op's input from its non-differentiable set.
 
     Central differences are only meaningful at points where the piecewise
     losses are locally smooth; cells are resampled until clear of the kinks.
     """
     dist = np.inf
     for node in tape.nodes:
-        if node.op == "sign":
-            dist = min(dist, float(np.abs(node.inputs[0].value).min()))
-        elif node.op == "huber_prime":
-            gap = np.abs(np.abs(node.inputs[0].value) - 1.0)
+        if node.op in _KINKS:
+            gap = np.abs(np.abs(node.inputs[0].value) - _KINKS[node.op])
             dist = min(dist, float(gap.min()))
     return dist
 
@@ -590,32 +592,20 @@ def cmd_gradcheck(rc: RunConfig | None = None, archs=ARCH_NAMES, losses=LOSSES,
 # ---------------------------------------------------------------------------
 # loss derivative report
 
-_MIXED_FORMS = {
-    "dot": "-1/(B sqrt(d)) everywhere",
-    "mse": "-1/(B sqrt(d)) everywhere",
-    "rmse": "-1/(B sqrt(d) sqrt(S)) + (Vhat-V)^2/(B^2 d S^(3/2))",
-    "mae": "0 almost everywhere",
-    "smooth_l1": "-1/(B sqrt(d)) where |Vhat-V| < 1, else 0",
-}
-
-
 def _generic_point(rng):
-    """Random [4, 6] (Vhat, V) kept away from the mae/smooth_l1 kink sets."""
+    """Random [4, 6] (Vhat, V) kept away from every loss's kink set."""
     while True:
         vhat = rng.standard_normal((4, 6))
         v = rng.standard_normal((4, 6))
         e = np.abs(vhat - v)
-        if e.min() > 1e-3 and np.abs(e - 1.0).min() > 1e-3:
+        if all(np.abs(e - at).min() > 1e-3 for at in _KINKS.values()):
             return vhat, v
 
 
 def mixed_derivative_fd(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Central differences of dL/dVhat_ij with respect to V_ij, entrywise."""
-    eps = 1e-6
-    out = np.zeros_like(vhat)
-    it = np.nditer(v, flags=["multi_index"])
-    for _ in it:
-        ij = it.multi_index
+    eps, out = 1e-6, np.zeros_like(vhat)
+    for ij in np.ndindex(v.shape):
         vp, vm = v.copy(), v.copy()
         vp[ij] += eps
         vm[ij] -= eps
@@ -628,15 +618,15 @@ def mixed_derivative_fd(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarra
 def cmd_lossreport(seed: int = 0, tol: float = 1e-5) -> dict:
     rng = np.random.default_rng(seed)
     rows, failures = [], []
-    for kind in LOSSES:
+    for kind, loss in INNER_LOSSES.items():
         vhat, v = _generic_point(rng)
-        analytic = mixed_second_derivative(kind, vhat, v)
+        analytic = loss.mixed(vhat, v)
         numeric = mixed_derivative_fd(kind, vhat, v)
         diff = float(np.abs(analytic - numeric).max())
         ok = diff < tol
-        rows.append({"loss": kind, "closed_form": _MIXED_FORMS[kind],
+        rows.append({"loss": kind, "closed_form": loss.mixed_form,
                      "max_abs_diff": diff, "ok": ok})
-        print(f"{kind:>10s}  {_MIXED_FORMS[kind]:<50s} |analytic-numeric| = "
+        print(f"{kind:>10s}  {loss.mixed_form:<50s} |analytic-numeric| = "
               f"{diff:.2e}  {'OK' if ok else 'MISMATCH'}")
         if not ok:
             failures.append(kind)

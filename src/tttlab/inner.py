@@ -8,8 +8,8 @@ weight gradient from that forward's traced ops, one rule per op
 (`Tape.weight_grads`), while the loss gradients stay analytic. The full 3x3
 conv is im2col patches times a matmul, so it needs no rule of its own.
 
-Loss convention: all five losses carry the 1/(B*sqrt(d)) scale, so an inner
-learning rate of 1.0 is a meaningful default.
+Each inner loss is one `InnerLoss` in `INNER_LOSSES`. All five carry the
+1/(B*sqrt(d)) scale, so an inner learning rate of 1.0 is a meaningful default.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor as T
 from .autodiff import Node, Tape
-
-LOSSES = ("dot", "mse", "rmse", "mae", "smooth_l1")
 
 RMSE_EPS = 1e-12
 
@@ -42,65 +40,95 @@ def _norm(shape: tuple) -> float:
     return 1.0 / (shape[-2] * math.sqrt(shape[-1]))
 
 
-def loss_grad(kind: str, vhat: Node, v: Node) -> Node:
-    """Analytic dL/dVhat as a tape expression (so d2L/dVhat dV flows outward)."""
-    c = _norm(vhat.value.shape)
-    if kind == "dot":
-        return ad.scale(v, -c)
-    e = ad.sub(vhat, v)
-    if kind == "mse":
-        return ad.scale(e, c)
-    if kind == "rmse":
+class InnerLoss:
+    """One inner loss L(Vhat, V): `value` of numpy [B, d] rows, `grad` dL/dVhat
+    as a tape expression (so d2L/dVhat dV flows outward), and `mixed`, the
+    entrywise d2L / (dV_ij dVhat_ij) in closed form (a.e. for mae/smooth_l1),
+    printed as `mixed_form`. `kink` is (op, a) when `grad` applies tape op
+    `op` to e = Vhat - V, which is not differentiable where |e| = a."""
+
+    kink: tuple[str, float] | None = None
+
+    def value(self, vhat: np.ndarray, v: np.ndarray) -> float:
+        if vhat.shape != v.shape:
+            raise T.DimensionError(f"loss shapes differ: {vhat.shape} vs {v.shape}")
+        return float(self._value(vhat, v, _norm(vhat.shape)))
+
+
+class Dot(InnerLoss):
+    name, mixed_form = "dot", "-1/(B sqrt(d)) everywhere"
+
+    def _value(self, vhat, v, c):
+        return (vhat * v).sum() * -c
+    def grad(self, vhat, v):
+        return ad.scale(v, -_norm(vhat.value.shape))
+    def mixed(self, vhat, v):
+        return np.full_like(vhat, -_norm(vhat.shape))
+
+
+class MSE(InnerLoss):
+    name, mixed_form, mixed = "mse", Dot.mixed_form, Dot.mixed
+
+    def _value(self, vhat, v, c):
+        e = vhat - v
+        return (e * e).sum() * (0.5 * c)
+    def grad(self, vhat, v):
+        return ad.scale(ad.sub(vhat, v), _norm(vhat.value.shape))
+
+
+class RMSE(InnerLoss):
+    name, mixed_form = "rmse", "-1/(B sqrt(d) sqrt(S)) + (Vhat-V)^2/(B^2 d S^(3/2))"
+
+    def _value(self, vhat, v, c):
+        e = vhat - v
+        return np.sqrt(np.maximum((e * e).sum() * c, RMSE_EPS))
+    def grad(self, vhat, v):
+        c, e = _norm(vhat.value.shape), ad.sub(vhat, v)
         s = ad.clip_min(ad.scale(ad.sum_last2(ad.mul(e, e)), c), RMSE_EPS)
         r = ad.reciprocal(ad.sqrt_(s))
         return ad.mul(ad.scale(e, c), ad.reshape(r, (*r.value.shape, 1, 1)))
-    if kind == "mae":
-        return ad.scale(ad.sign(e), c)
-    if kind == "smooth_l1":
-        return ad.scale(ad.huber_prime(e), c)
-    raise ValueError(f"unknown inner loss {kind!r}")
+    def mixed(self, vhat, v):
+        c, e = _norm(vhat.shape), vhat - v
+        s = max(c * float((e * e).sum()), RMSE_EPS)
+        return -c / math.sqrt(s) + (c * c) * e * e / s ** 1.5
+
+
+class MAE(InnerLoss):
+    name, mixed_form, kink = "mae", "0 almost everywhere", ("sign", 0.0)
+
+    def _value(self, vhat, v, c):
+        return np.abs(vhat - v).sum() * c
+    def grad(self, vhat, v):
+        return ad.scale(ad.sign(ad.sub(vhat, v)), _norm(vhat.value.shape))
+    def mixed(self, vhat, v):
+        return np.zeros_like(vhat)
+
+
+class SmoothL1(InnerLoss):
+    name, kink = "smooth_l1", ("huber_prime", 1.0)
+    mixed_form = "-1/(B sqrt(d)) where |Vhat-V| < 1, else 0"
+
+    def _value(self, vhat, v, c):
+        # the huber kernel: e^2/2 inside |e| < 1, |e| - 1/2 outside
+        e = vhat - v
+        a = np.abs(e)
+        return np.where(a < 1.0, 0.5 * e * e, a - 0.5).sum() * c
+    def grad(self, vhat, v):
+        return ad.scale(ad.huber_prime(ad.sub(vhat, v)), _norm(vhat.value.shape))
+    def mixed(self, vhat, v):
+        return np.where(np.abs(vhat - v) < 1.0, -_norm(vhat.shape), 0.0)
+
+
+#: the inner losses by name, in gradcheck and loss-report order; nothing else states one
+INNER_LOSSES: dict[str, InnerLoss] = {l.name: l for l in (
+    Dot(), MSE(), RMSE(), MAE(), SmoothL1())}
+
+LOSSES = tuple(INNER_LOSSES)
 
 
 def inner_loss_grad(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarray:
     t = Tape(record=False)
-    return loss_grad(kind, t.leaf(vhat), t.leaf(v)).value
-
-
-def inner_loss(kind: str, vhat: np.ndarray, v: np.ndarray) -> float:
-    """Per-sequence inner loss of [B, d] rows."""
-    if vhat.shape != v.shape:
-        raise T.DimensionError(f"loss shapes differ: {vhat.shape} vs {v.shape}")
-    c = _norm(vhat.shape)
-    if kind == "dot":
-        return float((vhat * v).sum() * -c)
-    e = vhat - v
-    if kind == "mse":
-        return float((e * e).sum() * (0.5 * c))
-    if kind == "rmse":
-        return float(np.sqrt(np.maximum((e * e).sum() * c, RMSE_EPS)))
-    a = np.abs(e)
-    if kind == "mae":
-        return float(a.sum() * c)
-    if kind == "smooth_l1":
-        # the huber kernel: e^2/2 inside |e| < 1, |e| - 1/2 outside
-        return float(np.where(a < 1.0, 0.5 * e * e, a - 0.5).sum() * c)
-    raise ValueError(f"unknown inner loss {kind!r}")
-
-
-def mixed_second_derivative(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Entrywise d2L / (dV_ij dVhat_ij) in closed form (defined a.e. for mae/smooth_l1)."""
-    c = _norm(vhat.shape)
-    if kind in ("dot", "mse"):
-        return np.full_like(vhat, -c)
-    e = vhat - v
-    if kind == "rmse":
-        s = max(c * float((e * e).sum()), RMSE_EPS)
-        return -c / math.sqrt(s) + (c * c) * e * e / s ** 1.5
-    if kind == "mae":
-        return np.zeros_like(vhat)
-    if kind == "smooth_l1":
-        return np.where(np.abs(e) < 1.0, -c, 0.0)
-    raise ValueError(f"unknown inner loss {kind!r}")
+    return INNER_LOSSES[kind].grad(t.leaf(vhat), t.leaf(v)).value
 
 
 def partition_batches(n: int, parts: int) -> list[tuple[int, int]]:
@@ -365,13 +393,13 @@ def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
     the forward once, on the rows its outputs depend on (`arch.context`), and
     its pullback on the same rows.
     """
-    n = k.value.shape[-2]
+    n, loss = k.value.shape[-2], INNER_LOSSES[cfg.loss]
     for epoch in range(cfg.epochs):
         for part, (lo, hi) in enumerate(partition_batches(n, cfg.parts)):
             clo, chi = arch.context(lo, hi, grid)
             sub = ((chi - clo) // grid[1], grid[1]) if arch.requires_grid else None
             vhat, pullback = arch.forward_pullback(ws, _rows(k, clo, chi), sub)
-            dv = loss_grad(cfg.loss, _rows(vhat, lo - clo, hi - clo), _rows(v, lo, hi))
+            dv = loss.grad(_rows(vhat, lo - clo, hi - clo), _rows(v, lo, hi))
             if rate is not None:
                 dv = ad.mul(dv, _rows(rate, lo, hi))
             if (clo, chi) != (lo, hi):

@@ -215,6 +215,26 @@ class TestBackwardContract:
         with pytest.raises(ContractError):
             t.backward(ad.mul(x, x))
 
+    @pytest.mark.parametrize("record", [True, False])
+    def test_unnamed_parameter_leaf_refused(self, record):
+        t = Tape(record=record)
+        with pytest.raises(ContractError, match="^a parameter leaf needs a name$"):
+            t.leaf(np.zeros(2), param=True)
+        assert not t.nodes and not t.params
+
+    def test_duplicate_parameter_name_refused(self):
+        t = Tape()
+        t.leaf(np.zeros(2), name="w", param=True)
+        with pytest.raises(ContractError, match="^duplicate parameter name 'w'$"):
+            t.leaf(np.ones(2), name="w", param=True)
+        assert np.array_equal(t.params["w"].value, np.zeros(2))
+
+    def test_root_of_another_tape_refused(self):
+        t, other = Tape(), Tape()
+        x = other.leaf(np.ones(2), name="x", param=True)
+        with pytest.raises(ContractError, match="^root belongs to a different tape$"):
+            t.backward(ad.sum_all(x))
+
     def test_untouched_leaf_gets_zeros(self):
         t = Tape()
         x = t.leaf(np.ones(3), name="x", param=True)

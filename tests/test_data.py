@@ -93,6 +93,15 @@ class TestSynthRecall:
         a = synth_recall_task(0, 0, 9, 4)
         assert len(a) == 0 and a.tokens.shape[0] == 0
 
+    def test_sequence_without_a_pair_refused(self):
+        with pytest.raises(ValueError, match=r"^seq_len must be at least 2 \(one pair plus "
+                                             r"the query\)$"):
+            synth_recall_task(0, 4, 1, 4)
+
+    def test_more_pairs_than_keys_refused(self):
+        with pytest.raises(ValueError, match="^cannot plant more collision-free pairs than keys$"):
+            synth_recall_task(0, 4, 6, 4, n_keys=4)
+
     def test_planted_pairs_collision_free_and_consistent(self):
         task = synth_recall_task(3, 20, 9, 4)
         for i in range(20):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import tempfile
 from dataclasses import fields
 from types import SimpleNamespace
@@ -188,6 +189,10 @@ class TestRunConfigProperty:
 
 
 class TestCmdTrain:
+    def test_accuracy_of_an_empty_split_is_zero(self):
+        model = RecallModel(small_recall_rc("unused"), 10, np.random.default_rng(0))
+        assert H._accuracy(model, np.zeros((0, 9, 16)), np.zeros(0, np.int64), 4) == 0.0
+
     def test_deterministic_across_runs(self, tmp_path):
         reports = []
         for name in ("a", "b"):
@@ -368,6 +373,13 @@ class TestCmdAblate:
             cmd_ablate(rc, {"inner_los": ["mae"], "seeds": [0]})
         assert not (tmp_path / "cells").exists()
 
+    @pytest.mark.parametrize("grid", [["inner_lr", [1.0]], "inner_lr", 3])
+    def test_grid_that_is_not_an_object_refused(self, grid):
+        rc = small_recall_rc("unused")
+        with pytest.raises(ValueError, match="^an ablation grid maps axis names to value lists, "
+                                             f"got {re.escape(repr(grid))}$"):
+            H.ablation_cells(rc, grid)
+
     def test_invalid_cell_refused_before_any_cell(self, tmp_path):
         rc = small_recall_rc(str(tmp_path), epochs=1, train_size=64, val_size=32)
         with pytest.raises(ValueError, match="inner_parts 10 exceeds"):
@@ -376,6 +388,11 @@ class TestCmdAblate:
 
 
 class TestCmdBench:
+    def test_unknown_layer_kind_refused(self):
+        with pytest.raises(ValueError, match="^linear$"):
+            H.bench_layer_once("linear", 16, 8, 2, inner_mod.InnerTrainConfig(),
+                               np.random.default_rng(0))
+
     def test_schema_and_flops(self, tmp_path):
         rc = RunConfig(command="bench", out_dir=str(tmp_path), dim=32, heads=2)
         report = cmd_bench(rc, lengths=(64, 128), reps=2, warmup=1)
@@ -409,11 +426,7 @@ class TestCmdGradcheck:
         assert not any(c["wv_grad_zero"] for c in mse_cells)
 
     def test_injected_sign_bug_is_caught(self, monkeypatch):
-        real = inner_mod.loss_grad
-
-        def buggy(kind, vhat, v):
-            if kind != "mse":
-                return real(kind, vhat, v)
+        def buggy(vhat, v):
             # correct forward value, sign-flipped backward rule
             e = ad.sub(vhat, v)
             c = 1.0 / (e.value.shape[-2] * np.sqrt(e.value.shape[-1]))
@@ -424,7 +437,7 @@ class TestCmdGradcheck:
 
             return e.tape.push(out, (e,), vjp, "buggy_mse_grad")
 
-        monkeypatch.setattr(inner_mod, "loss_grad", buggy)
+        monkeypatch.setattr(inner_mod.INNER_LOSSES["mse"], "grad", buggy)
         report = cmd_gradcheck(archs=("fc",), losses=("mse",))
         named = {(c["arch"], c["loss"]) for c in report["failures"]}
         assert ("fc", "mse") in named

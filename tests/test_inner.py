@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from tttlab import autodiff as ad
 from tttlab import tensor as T
 from tttlab.autodiff import ContractError, Tape
-from tttlab.inner import (ARCH_NAMES, DivergenceError, InnerArch, InnerModel,
-                          InnerTrainConfig, PartitionError, dynamic_rate,
-                          get_arch, inner_loss, inner_loss_grad,
-                          inner_update, inner_update_nodes, loss_grad,
-                          mixed_second_derivative, partition_batches)
+from tttlab.inner import (ARCH_NAMES, INNER_LOSSES, LOSSES, DivergenceError, InnerArch,
+                          InnerModel, InnerTrainConfig, PartitionError, dynamic_rate,
+                          get_arch, inner_loss_grad, inner_update, inner_update_nodes,
+                          partition_batches)
 
 RNG = np.random.default_rng(21)
 
@@ -29,11 +28,13 @@ def inner_forward(model: InnerModel, x: np.ndarray) -> np.ndarray:
 
 
 def generic_pair(b=3, d=4, seed=0):
+    """Random (Vhat, V) rows kept 1e-3 away from every registered loss's kink."""
+    kinks = [loss.kink[1] for loss in INNER_LOSSES.values() if loss.kink]
     rng = np.random.default_rng(seed)
     while True:
         vhat, v = rng.standard_normal((b, d)), rng.standard_normal((b, d))
         e = np.abs(vhat - v)
-        if e.min() > 1e-3 and np.abs(e - 1.0).min() > 1e-3:
+        if all(np.abs(e - at).min() > 1e-3 for at in kinks):
             return vhat, v
 
 
@@ -42,29 +43,59 @@ class TestLossValues:
         vhat = np.array([[1.0, 2.0, 0.0, 0.0]])
         v = np.array([[3.0, 0.0, 0.0, 1.0]])
         # -(1/(1*sqrt(4))) * 3 = -1.5
-        assert inner_loss("dot", vhat, v) == pytest.approx(-1.5)
+        assert INNER_LOSSES["dot"].value(vhat, v) == pytest.approx(-1.5)
 
     def test_mse_perfect_fit(self):
         v = RNG.standard_normal((5, 3))
-        assert inner_loss("mse", v.copy(), v) == 0.0
+        assert INNER_LOSSES["mse"].value(v.copy(), v) == 0.0
 
     def test_smooth_l1_hand_case(self):
         vhat = np.full((1, 4), 0.5)
         v = np.zeros((1, 4))
         # all diffs 0.5 -> (1/(1*2)) * 4 * (0.5 * 0.25) = 0.25
-        assert inner_loss("smooth_l1", vhat, v) == pytest.approx(0.25)
+        assert INNER_LOSSES["smooth_l1"].value(vhat, v) == pytest.approx(0.25)
 
     def test_mae_value(self):
         vhat, v = generic_pair(seed=1)
         b, d = vhat.shape
         expect = np.abs(vhat - v).sum() / (b * math.sqrt(d))
-        assert inner_loss("mae", vhat, v) == pytest.approx(expect)
+        assert INNER_LOSSES["mae"].value(vhat, v) == pytest.approx(expect)
 
     def test_rmse_value(self):
         vhat, v = generic_pair(seed=2)
         b, d = vhat.shape
         expect = math.sqrt(((vhat - v) ** 2).sum() / (b * math.sqrt(d)))
-        assert inner_loss("rmse", vhat, v) == pytest.approx(expect)
+        assert INNER_LOSSES["rmse"].value(vhat, v) == pytest.approx(expect)
+
+
+class TestLossRegistry:
+    def test_order_and_names(self):
+        assert LOSSES == ("dot", "mse", "rmse", "mae", "smooth_l1")
+        assert all(INNER_LOSSES[name].name == name for name in LOSSES)
+
+    def test_kinks(self):
+        kinks = {name: loss.kink for name, loss in INNER_LOSSES.items()}
+        assert kinks == {"dot": None, "mse": None, "rmse": None,
+                         "mae": ("sign", 0.0), "smooth_l1": ("huber_prime", 1.0)}
+
+    @pytest.mark.parametrize("kind", LOSSES)
+    def test_traced_grad_has_the_kink_op_exactly_when_kinked(self, kind):
+        loss = INNER_LOSSES[kind]
+        vhat, v = generic_pair(seed=10)
+        tape = Tape()
+        with tape.tracing() as ops:
+            loss.grad(tape.leaf(vhat), tape.leaf(v))
+        traced = {node.op for node, _ in ops}
+        kink_ops = {other.kink[0] for other in INNER_LOSSES.values() if other.kink}
+        assert traced & kink_ops == ({loss.kink[0]} if loss.kink else set())
+        # the kink op reads e = Vhat - V, whose |e| the gradcheck keeps off the kink
+        kinked = [inputs for node, inputs in ops if loss.kink and node.op == loss.kink[0]]
+        assert all(np.array_equal(inputs[0].value, vhat - v) for inputs in kinked)
+
+    @pytest.mark.parametrize("kind", LOSSES)
+    def test_value_refuses_rows_of_different_shapes(self, kind):
+        with pytest.raises(T.DimensionError, match=r"^loss shapes differ: \(3, 4\) vs \(4, 3\)$"):
+            INNER_LOSSES[kind].value(np.zeros((3, 4)), np.zeros((4, 3)))
 
 
 class TestLossGrads:
@@ -80,17 +111,18 @@ class TestLossGrads:
         g = inner_loss_grad("mae", vhat, v)
         assert np.allclose(g, np.sign(vhat - v) / (b * math.sqrt(d)), atol=0)
 
-    @pytest.mark.parametrize("kind", ["dot", "mse", "rmse", "mae", "smooth_l1"])
+    @pytest.mark.parametrize("kind", LOSSES)
     def test_grad_matches_finite_differences(self, kind):
         vhat, v = generic_pair(seed=5)
         analytic = inner_loss_grad(kind, vhat, v)
+        value = INNER_LOSSES[kind].value
         eps = 1e-6
         numeric = np.zeros_like(vhat)
         for idx in np.ndindex(*vhat.shape):
             vp, vm = vhat.copy(), vhat.copy()
             vp[idx] += eps
             vm[idx] -= eps
-            numeric[idx] = (inner_loss(kind, vp, v) - inner_loss(kind, vm, v)) / (2 * eps)
+            numeric[idx] = (value(vp, v) - value(vm, v)) / (2 * eps)
         assert np.abs(analytic - numeric).max() < 1e-8
 
     def test_rmse_guard_at_perfect_fit(self):
@@ -102,29 +134,29 @@ class TestLossGrads:
 class TestMixedSecondDerivative:
     def test_mse_constant(self):
         vhat, v = generic_pair(b=2, d=4, seed=6)
-        out = mixed_second_derivative("mse", vhat, v)
+        out = INNER_LOSSES["mse"].mixed(vhat, v)
         assert np.allclose(out, -1.0 / (2 * 2), atol=0)  # -1/(B sqrt(d)) = -0.25
 
     def test_dot_constant(self):
         vhat, v = generic_pair(b=2, d=4, seed=7)
-        assert np.allclose(mixed_second_derivative("dot", vhat, v), -0.25, atol=0)
+        assert np.allclose(INNER_LOSSES["dot"].mixed(vhat, v), -0.25, atol=0)
 
     def test_mae_zero_almost_everywhere(self):
         vhat, v = generic_pair(seed=8)
-        assert np.all(mixed_second_derivative("mae", vhat, v) == 0.0)
+        assert np.all(INNER_LOSSES["mae"].mixed(vhat, v) == 0.0)
 
     def test_smooth_l1_piecewise(self):
         b, d = 1, 4
         vhat = np.array([[0.5, 2.0, -0.5, -2.0]])
         v = np.zeros((1, 4))
-        out = mixed_second_derivative("smooth_l1", vhat, v)
+        out = INNER_LOSSES["smooth_l1"].mixed(vhat, v)
         c = 1.0 / (b * math.sqrt(d))
         assert np.array_equal(out, [[-c, 0.0, -c, 0.0]])
 
-    @pytest.mark.parametrize("kind", ["dot", "mse", "rmse", "mae", "smooth_l1"])
+    @pytest.mark.parametrize("kind", LOSSES)
     def test_matches_fd_of_loss_grad(self, kind):
         vhat, v = generic_pair(seed=9)
-        analytic = mixed_second_derivative(kind, vhat, v)
+        analytic = INNER_LOSSES[kind].mixed(vhat, v)
         eps = 1e-6
         numeric = np.zeros_like(vhat)
         for idx in np.ndindex(*v.shape):
@@ -339,6 +371,30 @@ class TestInnerUpdate:
         star = inner_update(m, k, v, InnerTrainConfig(loss="dot"))
         assert star.weights[0].shape == (3, 3, 3, 3)
 
+    def test_row_counts_of_k_and_v_must_match(self):
+        m = InnerModel.create("fc", 3, np.random.default_rng(11))
+        with pytest.raises(T.DimensionError,
+                           match=r"^K and V row counts differ: \(4, 3\) vs \(5, 3\)$"):
+            inner_update(m, np.zeros((4, 3)), np.zeros((5, 3)), InnerTrainConfig())
+
+    @pytest.mark.parametrize("missing", ["x", "w_eta"])
+    def test_dynamic_rate_needs_x_and_w_eta(self, missing):
+        m = InnerModel.create("fc", 3, np.random.default_rng(12))
+        given = {"x": np.zeros((4, 3)), "w_eta": np.zeros((3, 1))}
+        del given[missing]
+        with pytest.raises(ValueError, match="^dynamic_lr needs x and w_eta$"):
+            inner_update(m, np.zeros((4, 3)), np.zeros((4, 3)),
+                         InnerTrainConfig(dynamic_lr=True), **given)
+
+    @pytest.mark.parametrize("kw, msg", [
+        ({"loss": "l2"}, "^unknown inner loss 'l2'$"),
+        ({"epochs": 0}, "^epochs must be >= 1$"),
+        ({"parts": 0}, "^parts must be >= 1$"),
+    ])
+    def test_config_refusals(self, kw, msg):
+        with pytest.raises(ValueError, match=msg):
+            InnerTrainConfig(**kw)
+
     def test_arch_registry_covers_design_space(self):
         # the order of the gradcheck matrix and the ablations
         assert ARCH_NAMES == ("fc", "silu_fc", "mlp_r1_l2", "mlp_r2_l2", "mlp_r1_l3",
@@ -543,7 +599,7 @@ def full_grid_update(arch, ws, k, v, cfg, rate, grid):
     for _ in range(cfg.epochs):
         for lo, hi in partition_batches(n, cfg.parts):
             vhat = conv(ws[0])
-            dv = loss_grad(cfg.loss, ad.rows(vhat, lo, hi), ad.rows(v, lo, hi))
+            dv = INNER_LOSSES[cfg.loss].grad(ad.rows(vhat, lo, hi), ad.rows(v, lo, hi))
             if rate is not None:
                 dv = ad.mul(dv, ad.rows(rate, lo, hi))
             g = wgrad(ad.pad_rows(dv, n, lo, hi))

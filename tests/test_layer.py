@@ -163,6 +163,10 @@ class TestTTTAttention:
         out = ttt_attention(x[perm], p, cfg)
         assert np.abs(out[0] - base[0]).max() < 1e-12
 
+    def test_dim_must_divide_into_heads(self):
+        with pytest.raises(T.DimensionError, match="^dim 10 not divisible by heads 3$"):
+            make_params(10, 3)
+
     def test_conv_head_needs_grid(self):
         p = make_params(16, 2, archs=("dwconv3x3", "gated_fc"), seed=5)
         x = RNG.standard_normal((9, 16))

@@ -59,6 +59,10 @@ class TestPatchEmbed:
         with pytest.raises(T.DimensionError):
             unfold_patches(RNG.random((1, 30, 30, 3)), 4)
 
+    def test_config_dim_must_divide_into_heads(self):
+        with pytest.raises(T.DimensionError, match="^dim 10 not divisible by heads 4$"):
+            ModelConfig(dim=10, heads=4)
+
 
 class TestBlock:
     def test_output_shape(self):
@@ -209,6 +213,11 @@ class TestAdamW:
         with pytest.raises(ad.ContractError):
             adamw_step({"b": np.zeros(3), "a": np.zeros(2)},
                        {"a": np.zeros(2), "b": np.zeros(3)}, state, lr=0.1)
+
+    def test_schedule_without_decay_steps_holds_base_rate(self):
+        # warmup covers every step: after it the rate stays at base, with no cosine
+        assert [cosine_warmup_lr(s, 4, 4, 0.1) for s in range(6)] == [
+            pytest.approx(0.025), pytest.approx(0.05), pytest.approx(0.075), 0.1, 0.1, 0.1]
 
     def test_cosine_schedule_shape(self):
         base = 1e-3

@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 
 import numpy as np
@@ -61,6 +62,11 @@ class TestMatmul:
         with pytest.raises(T.DimensionError):
             T.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
+    def test_vector_operand_refused(self):
+        msg = "matmul needs matrices, got (3,) @ (3, 2)"
+        with pytest.raises(T.DimensionError, match=f"^{re.escape(msg)}$"):
+            T.matmul(np.zeros(3), np.zeros((3, 2)))
+
 
 def conv3x3_head(x, k):
     """The conv3x3 inner head's forward (patches @ kernel) on an [H, W, C] grid."""
@@ -102,6 +108,12 @@ class TestConv3x3:
             T.dwconv3x3(np.zeros((6, 3)), np.zeros((3, 3, 3)))
         with pytest.raises(T.GridError):
             T.patches(np.zeros((6, 3)))
+
+    @pytest.mark.parametrize("kshape", [(3, 3, 4), (2, 3, 3)])
+    def test_depthwise_kernel_must_match_channels(self, kshape):
+        msg = f"dwconv3x3 kernel {kshape} does not match C=3"
+        with pytest.raises(T.DimensionError, match=f"^{re.escape(msg)}$"):
+            T.dwconv3x3(np.zeros((4, 4, 3)), np.zeros(kshape))
 
     def test_per_sample_kernels_match_loop(self):
         rng = np.random.default_rng(5)
