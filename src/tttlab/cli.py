@@ -60,14 +60,15 @@ def _runconfig(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fp:
             doc = json.load(fp)
+        if not isinstance(doc, dict):
+            raise ValueError(f"--config {args.config} holds no JSON object of RunConfig fields")
     if args.command == "gradcheck":
         doc.setdefault("threads", min(8, os.cpu_count() or 1))
-    rc = RunConfig.from_dict(doc)
-    # every parsed argument named after a RunConfig field overrides it, `command` too
-    for name, value in vars(args).items():
-        if name in RunConfig.__dataclass_fields__ and value is not None:
-            setattr(rc, name, value)
-    return rc.validate()
+    # every parsed argument named after a RunConfig field overrides the file, `command`
+    # too, before the merged fields are validated
+    doc.update({name: value for name, value in vars(args).items()
+                if name in RunConfig.__dataclass_fields__ and value is not None})
+    return RunConfig.from_dict(doc)
 
 
 def _ablation_grid(arg: str | None) -> dict | None:

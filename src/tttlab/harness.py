@@ -151,6 +151,9 @@ class RunConfig:
                 raise ValueError(f"head_archs {grid_heads} need an image grid, which a "
                                  "recall sequence does not have")
             return self
+        if self.data_path and D.find_cifar10(self.data_path) != self.data_path:
+            raise ValueError(f"data_path {self.data_path!r} holds no CIFAR-10 "
+                             "(no data_batch_1.bin)")
         hidden = int(self.mlp_ratio * self.dim)
         if hidden < 1:
             raise ValueError(f"mlp_ratio {self.mlp_ratio} gives an MLP hidden width of "
@@ -301,7 +304,6 @@ def _train(rc: RunConfig) -> tuple[Task, dict]:
     warmup_steps = rc.warmup_epochs * steps_per_epoch
     rng = np.random.default_rng(rc.seed)
     rows, diverged, acc = [], False, 0.0
-    step = 0
     csv_path = os.path.join(rc.out_dir, "train.csv")
     with open(csv_path, "w", newline="") as fp:
         writer = csv.writer(fp)
@@ -320,11 +322,10 @@ def _train(rc: RunConfig) -> tuple[Task, dict]:
                                                               labels[idx])
                         if not np.isfinite(loss):
                             raise DivergenceError(f"outer loss non-finite at epoch {epoch}")
-                        lr = cosine_warmup_lr(step, total_steps, warmup_steps, rc.lr)
+                        lr = cosine_warmup_lr(state.step, total_steps, warmup_steps, rc.lr)
                         adamw_step(model.params, grads, state, lr,
                                    weight_decay=rc.weight_decay)
                         losses.append(loss)
-                        step += 1
                     acc = _accuracy(model, task.val_x, task.val_y, rc.batch_size)
             except DivergenceError:
                 diverged = True
@@ -431,17 +432,21 @@ def ablation_cells(rc: RunConfig, grid: dict | None = None) -> list[tuple[tuple,
     return [(job, _cell_config(*job)) for job in jobs]
 
 
+def _run_jobs(fn: Callable, jobs: list, threads: int) -> list:
+    """fn of each job, in job order; on a pool of `threads` processes when threads > 1."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def cmd_ablate(rc: RunConfig, grid: dict | None = None) -> dict:
     """Train every cell of the grid's cross product; every cell's config is validated
     before the first one runs, and cells that share a synthetic CIFAR set share one
     copy under the grid's out_dir."""
     # each distinct synthetic CIFAR set is written once, before any cell runs
     jobs = [(*job, _synthetic_cifar(rc.out_dir, cell)) for job, cell in ablation_cells(rc, grid)]
-    if rc.threads > 1:
-        with ProcessPoolExecutor(max_workers=rc.threads) as pool:
-            rows = list(pool.map(ablate_cell, jobs))
-    else:
-        rows = [ablate_cell(job) for job in jobs]
+    rows = _run_jobs(ablate_cell, jobs, rc.threads)
     os.makedirs(rc.out_dir, exist_ok=True)
     csv_path = os.path.join(rc.out_dir, "ablate.csv")
     with open(csv_path, "w", newline="") as fp:
@@ -572,11 +577,7 @@ def cmd_gradcheck(rc: RunConfig | None = None, archs=ARCH_NAMES, losses=LOSSES,
     rc = rc or RunConfig(command="gradcheck")
     jobs = [(a, l, dyn, parts) for a in archs for l in losses
             for dyn in (False, True) for parts in (1, 2)]
-    if rc.threads > 1:
-        with ProcessPoolExecutor(max_workers=rc.threads) as pool:
-            cells = list(pool.map(gradcheck_cell, jobs))
-    else:
-        cells = [gradcheck_cell(job) for job in jobs]
+    cells = _run_jobs(gradcheck_cell, jobs, rc.threads)
     failures = []
     for cell in cells:
         ok = cell["max_rel_err"] < tol

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -150,16 +149,15 @@ def partition_batches(n: int, parts: int) -> list[tuple[int, int]]:
 class InnerArch:
     """One F_W architecture: its weight shapes, init, forward and context.
 
-    `forward` maps token rows [.., B, d] to [.., B, d]; conv architectures
-    also need the (H, W) grid the rows raster-scan. An architecture states
-    only its forward: `forward_pullback` derives the weight gradients from it.
+    Each subclass defines `weight_shapes(d)` and `forward(ws, x, grid)`, which
+    maps token rows [.., B, d] to [.., B, d]; conv architectures also need the
+    (H, W) grid the rows raster-scan. An architecture states only its forward:
+    the inner step traces it and `Tape.weight_grads` derives the weight
+    gradients from the traced ops.
     """
 
     name: str = ""
     requires_grid = False
-
-    def weight_shapes(self, d: int) -> list[tuple]:
-        raise NotImplementedError
 
     def init(self, rng: np.random.Generator, d: int, dtype=np.float64) -> list[np.ndarray]:
         ws = []
@@ -168,21 +166,6 @@ class InnerArch:
             bound = 1.0 / math.sqrt(fan_in)
             ws.append(rng.uniform(-bound, bound, size=shape).astype(dtype))
         return ws
-
-    def forward(self, ws: list[Node], x: Node, grid=None) -> Node:
-        raise NotImplementedError
-
-    def forward_pullback(self, ws: list[Node], x: Node,
-                         grid=None) -> tuple[Node, Callable[[Node], list[Node]]]:
-        """Run the forward once; return (out, pullback).
-
-        `pullback(dvhat)` builds the gradients of sum(out * dvhat) w.r.t. ws
-        as tape expressions of this forward's own nodes (`Tape.weight_grads`).
-        """
-        tape = x.tape
-        with tape.tracing() as ops:
-            out = self.forward(ws, x, grid)
-        return out, lambda dv: tape.weight_grads(ops, ws, out, dv)
 
     def context(self, lo: int, hi: int, grid=None) -> tuple[int, int]:
         """Token rows [clo, chi) whose inputs determine the outputs [lo, hi)."""
@@ -389,22 +372,24 @@ def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
 
     `rate` is the per-token learning rate, a [.., N, 1] column (already scaled
     by eta) that `ad.mul` broadcasts over each token's loss gradient; when
-    None, the fixed rate cfg.lr scales each step instead. Each mini-batch runs
-    the forward once, on the rows its outputs depend on (`arch.context`), and
-    its pullback on the same rows.
+    None, the fixed rate cfg.lr scales each step instead. Each mini-batch
+    traces the forward once, on the rows its outputs depend on
+    (`arch.context`), and `Tape.weight_grads` walks those traced ops back from
+    the loss gradient on the same rows.
     """
-    n, loss = k.value.shape[-2], INNER_LOSSES[cfg.loss]
+    n, loss, tape = k.value.shape[-2], INNER_LOSSES[cfg.loss], k.tape
     for epoch in range(cfg.epochs):
         for part, (lo, hi) in enumerate(partition_batches(n, cfg.parts)):
             clo, chi = arch.context(lo, hi, grid)
             sub = ((chi - clo) // grid[1], grid[1]) if arch.requires_grid else None
-            vhat, pullback = arch.forward_pullback(ws, _rows(k, clo, chi), sub)
+            with tape.tracing() as ops:
+                vhat = arch.forward(ws, _rows(k, clo, chi), sub)
             dv = loss.grad(_rows(vhat, lo - clo, hi - clo), _rows(v, lo, hi))
             if rate is not None:
                 dv = ad.mul(dv, _rows(rate, lo, hi))
             if (clo, chi) != (lo, hi):
                 dv = ad.pad_rows(dv, chi - clo, lo - clo, hi - clo)
-            grads = pullback(dv)
+            grads = tape.weight_grads(ops, ws, vhat, dv)
             if rate is None:
                 grads = [ad.scale(g, cfg.lr) for g in grads]
             ws = [ad.sub(w, g) for w, g in zip(ws, grads)]

@@ -8,7 +8,6 @@ Forward/backward run batched on [b, N, C] rows over one tape.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -20,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor as T
 from .autodiff import Node, Tape
-from .inner import InnerArch, InnerTrainConfig, get_arch, inner_update_nodes
+from .inner import InnerTrainConfig, get_arch, inner_update_nodes
 from .layer import TTTLayerParams, ttt_attention, ttt_attention_nodes
 
 
@@ -231,24 +230,13 @@ def cosine_warmup_lr(step: int, total_steps: int, warmup_steps: int, base_lr: fl
 # ---------------------------------------------------------------------------
 # FLOPs, counted by running the code (multiply-add = 2 FLOPs)
 
-def _pullbacks_apart(arch: InnerArch) -> InnerArch:
-    """A copy of `arch` whose pullbacks tick a counter of their own.
+class _PullbacksApart(Tape):
+    """A tape whose weight-gradient walks tick a FLOPs counter of their own;
+    counters nest independently, so an enclosing count skips them."""
 
-    Counters nest independently, so an enclosing count skips the pullbacks.
-    """
-    counted = copy.copy(arch)
-
-    def forward_pullback(ws, x, grid=None):
-        out, pullback = arch.forward_pullback(ws, x, grid)
-
-        def apart(dv):
-            with T.count_flops():
-                return pullback(dv)
-
-        return out, apart
-
-    counted.forward_pullback = forward_pullback
-    return counted
+    def weight_grads(self, *args):
+        with T.count_flops():
+            return super().weight_grads(*args)
 
 
 def ttt_layer_flops(n: int, dim: int, heads: int, head_archs, inner: InnerTrainConfig,
@@ -264,7 +252,7 @@ def ttt_layer_flops(n: int, dim: int, heads: int, head_archs, inner: InnerTrainC
     params = TTTLayerParams.create(np.random.default_rng(0), dim, heads, head_archs)
     with T.count_flops() as total:
         ttt_attention(np.zeros((n, dim)), params, inner, grid)
-    tape = Tape(record=False)
+    tape = _PullbacksApart(record=False)
     kv = tape.leaf(np.zeros((n, params.head_dim)))
     rate = tape.leaf(np.zeros((n, 1))) if inner.dynamic_lr else None
     convention = module = 0
@@ -274,7 +262,7 @@ def ttt_layer_flops(n: int, dim: int, heads: int, head_archs, inner: InnerTrainC
         with T.count_flops() as fwd:
             arch.forward(ws, kv, grid)
         with T.count_flops() as loop:
-            inner_update_nodes(_pullbacks_apart(arch), ws, kv, kv, inner, rate, grid)
+            inner_update_nodes(arch, ws, kv, kv, inner, rate, grid)
         convention += loop.total + (2 * inner.epochs + 1) * fwd.total
         module += fwd.total
     return {"total_executed": total.total, "ratio": convention / module}

@@ -130,6 +130,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=match):
             RunConfig.from_json(json.dumps(doc))
 
+    def test_cifar_data_path_without_cifar_rejected(self, tmp_path, tiny_cifar):
+        # a named path that holds no CIFAR-10 is refused, not passed over for
+        # $TTTLAB_CIFAR10, ./data or synthetic data
+        for path in (str(tmp_path), str(tmp_path / "no-such-dir")):
+            doc = {"task": "cifar", "data_path": path}
+            with pytest.raises(ValueError, match=f"^data_path {re.escape(repr(path))} "
+                                                 "holds no CIFAR-10"):
+                RunConfig.from_dict(doc)
+            RunConfig.from_dict({**doc, "task": "recall"})      # recall reads no data
+        RunConfig.from_dict({"task": "cifar", "data_path": tiny_cifar})
+
     def test_task_shape_limits_accepted(self):
         RunConfig.from_json('{"recall_seq": 33, "recall_keys": 32, "inner_parts": 33}')
         RunConfig.from_json('{"task": "cifar", "inner_parts": 64, "recall_seq": 1}')
@@ -160,7 +171,8 @@ def tiny_run_docs(draw):
         "epochs": 1, "batch_size": 8, "train_size": 16, "val_size": 8, "warmup_epochs": 1,
     }
     unusable = {"heads": 3, "patch_size": 5, "inner_parts": 99, "recall_seq": 40,
-                "mlp_ratio": 0.05, "head_archs": ["dwconv3x3"] * heads}
+                "mlp_ratio": 0.05, "head_archs": ["dwconv3x3"] * heads,
+                "data_path": "no-cifar-here"}
     for name in {draw(st.sampled_from([None, *unusable])) for _ in range(2)} - {None}:
         doc[name] = unusable[name]
     return doc
@@ -538,6 +550,45 @@ class TestCli:
         assert exc.value.code == 2
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("doc, flags", [
+        ({"inner_parts": 99}, ["--inner-parts", "2"]),
+        ({"task": "cifar", "data_path": "gone", "depth": 1}, ["--data", None]),
+    ])
+    def test_flag_replaces_a_config_value_before_validation(self, tmp_path, tiny_cifar,
+                                                             doc, flags):
+        # the file's value that a flag overrides is never validated on its own
+        from tttlab.cli import main
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, "epochs": 1, "train_size": 8, "val_size": 4}))
+        flags = [tiny_cifar if f is None else f for f in flags]
+        assert main(["train", "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    @pytest.mark.parametrize("text", ['["seed"]', "3"])
+    def test_config_file_not_an_object_is_a_usage_error(self, capsys, tmp_path, command,
+                                                        text):
+        from tttlab.cli import main
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "Traceback" not in err
+        assert f"--config {cfg} holds no JSON object of RunConfig fields" in err
+
+    def test_cifar_data_without_cifar_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        from tttlab.cli import main
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--task", "cifar", "--data", "empty", "--epochs", "1",
+                  "--train-size", "16", "--val-size", "8"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "data_path 'empty' holds no CIFAR-10" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["empty"]
 
     def test_bench_cli(self, tmp_path):
         from tttlab.cli import main

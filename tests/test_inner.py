@@ -443,11 +443,14 @@ def derived_and_backward_grads(name, lead, record):
 
 
 def walker_and_backward_grads(arch, w0, x0, dv0, record):
-    """An arch's derived weight gradients for a cotangent dv, and Tape.backward's
-    gradients of sum(forward * dv), which the ops' own vjps compute."""
+    """An arch's weight gradients for a cotangent dv, derived by `Tape.weight_grads`
+    from its traced forward, and Tape.backward's gradients of sum(forward * dv),
+    which the ops' own vjps compute."""
     t = Tape(record=record)
-    out, pullback = arch.forward_pullback([t.leaf(w) for w in w0], t.leaf(x0), (3, 3))
-    derived = [g.value for g in pullback(t.leaf(dv0))]
+    ws = [t.leaf(w) for w in w0]
+    with t.tracing() as ops:
+        out = arch.forward(ws, t.leaf(x0), (3, 3))
+    derived = [g.value for g in t.weight_grads(ops, ws, out, t.leaf(dv0))]
     t = Tape()
     ws = [t.leaf(w, name=f"w{j}", param=True) for j, w in enumerate(w0)]
     root = ad.sum_all(ad.mul(arch.forward(ws, t.leaf(x0), (3, 3)), t.leaf(dv0)))
@@ -471,24 +474,17 @@ class TestDerivedWeightGrads:
             assert g.shape == (2, *e.shape)
             assert np.abs(g.sum(axis=0) - e).max() <= 1e-12 * np.abs(e).max()
 
-    @pytest.mark.parametrize("name", ARCH_NAMES)
-    def test_no_arch_writes_its_own_pullback(self, name):
-        assert type(get_arch(name)).forward_pullback is InnerArch.forward_pullback
-
     @pytest.mark.parametrize("op, fwd", [
         ("sigmoid", lambda ws, x: ad.sigmoid(ad.matmul(x, ws[0]))),
         ("add", lambda ws, x: ad.add(ad.matmul(x, ws[0]), ws[1])),     # a broadcast bias
     ])
     def test_op_without_a_rule_is_named(self, op, fwd):
-        class Arch(InnerArch):
-            def forward(self, ws, x, grid=None):
-                return fwd(ws, x)
-
         t = Tape()
         ws = [t.leaf(np.eye(3)), t.leaf(np.ones(3))]
-        out, pullback = Arch().forward_pullback(ws, t.leaf(RNG.standard_normal((4, 3))))
+        with t.tracing() as ops:
+            out = fwd(ws, t.leaf(RNG.standard_normal((4, 3))))
         with pytest.raises(ContractError, match=f"'{op}'"):
-            pullback(t.leaf(np.ones((4, 3))))
+            t.weight_grads(ops, ws, out, t.leaf(np.ones((4, 3))))
 
 
 @st.composite

@@ -249,6 +249,31 @@ class TestFlops:
         assert ratio == 3 * e + 1 + e * (1 / (2 * d) + 1 / n)
         assert ratio == {1: 4.046875, 2: 7.09375}[e]
 
+    #: ttt_layer_flops(64, 32, 2, (arch, "gated_fc"), mse, parts 2, epochs 2, 8x8
+    #: grid)["ratio"] as float hex, (fixed rate, dynamic rate); counts depend on
+    #: shapes only, so these hold on every machine and BLAS build
+    PINNED_RATIOS = {
+        "fc": ("0x1.c8df0cac5b3f6p+2", "0x1.c981446f86563p+2"),
+        "silu_fc": ("0x1.c888888888889p+2", "0x1.c924924924925p+2"),
+        "mlp_r1_l2": ("0x1.c77975b8fe21ap+2", "0x1.c77975b8fe21ap+2"),
+        "mlp_r2_l2": ("0x1.c63e7063e7064p+2", "0x1.c59e9859e985ap+2"),
+        "mlp_r1_l3": ("0x1.c6a8b1927f429p+2", "0x1.c649fd0a5bbeep+2"),
+        "swiglu": ("0x1.c6c6c6c6c6c6cp+2", "0x1.c666666666666p+2"),
+        "gated_fc": ("0x1.c76b981dae607p+2", "0x1.c76b981dae607p+2"),
+        "conv3x3": ("0x1.df317a9f317aap+2", "0x1.ddf0395df0396p+2"),
+        "dwconv3x3": ("0x1.d0469ee58469fp+2", "0x1.d155555555555p+2"),
+        "mlp_residual": ("0x1.c76b981dae607p+2", "0x1.c76b981dae607p+2"),
+        "mlp_w2_plus_i": ("0x1.c76b981dae607p+2", "0x1.c76b981dae607p+2"),
+        "mlp_w2_init_i": ("0x1.c77975b8fe21ap+2", "0x1.c77975b8fe21ap+2"),
+    }
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("name", ARCH_NAMES)
+    def test_ratio_pinned(self, name, dynamic):
+        cfg = InnerTrainConfig(loss="mse", epochs=2, parts=2, dynamic_lr=dynamic)
+        ratio = ttt_layer_flops(64, 32, 2, (name, "gated_fc"), cfg, grid=(8, 8))["ratio"]
+        assert ratio.hex() == self.PINNED_RATIOS[name][dynamic]
+
     def test_estimate_rejects_unbuildable_model(self):
         with pytest.raises(T.DimensionError):
             flops_estimate(ModelConfig(heads=4, head_archs=("fc", "fc")))
