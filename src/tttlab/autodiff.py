@@ -378,16 +378,40 @@ def matmul(a: Node, b: Node) -> Node:
     return a.tape.push(out, (a, b), vjp, "matmul")
 
 
+def _linear_vjp(g: np.ndarray, x: Node, w: Node, b: Node):
+    """Cotangents of x @ w + b for a shared [K, N] weight and [N] bias."""
+    dx, dw = _shared_weight_vjp(g, x, w)
+    db = T.fold_rows(g).sum(axis=0) if b.requires else None
+    return dx, dw, db
+
+
 def linear(x: Node, w: Node, b: Node) -> Node:
     """x @ w + b for a shared [K, N] weight and [N] bias, as one tape op."""
     out = T.linear(x.value, w.value, b.value)
 
     def vjp(g):
-        dx, dw = _shared_weight_vjp(g, x, w)
-        db = T.fold_rows(g).sum(axis=0) if b.requires else None
-        return dx, dw, db
+        return _linear_vjp(g, x, w, b)
 
     return x.tape.push(out, (x, w, b), vjp, "linear")
+
+
+def linear_silu(x: Node, w: Node, b: Node) -> Node:
+    """silu(x @ w + b) as one tape op: only the sigmoid of the pre-activation is
+    kept, and the product is formed in the pre-activation's buffer."""
+    out = T.linear(x.value, w.value, b.value)
+    s = T.sigmoid(out)
+    out *= s
+    T._tick(4 * out.size)
+
+    def vjp(g):
+        # SiLU'(h) = s + silu(h) (1 - s), from the saved sigmoid and the output
+        d = 1.0 - s
+        d *= out
+        d += s
+        d *= g
+        return _linear_vjp(d, x, w, b)
+
+    return x.tape.push(out, (x, w, b), vjp, "linear_silu")
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +624,8 @@ def huber_prime(a: Node) -> Node:
 def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
     xv = x.value
     # centre once; the centred rows give the variance and, scaled, xhat
-    xhat = xv - xv.mean(axis=-1, keepdims=True)
+    mu = xv.mean(axis=-1, keepdims=True)
+    xhat = xv - mu
     inv = np.square(xhat).sum(axis=-1, keepdims=True)
     inv /= xv.shape[-1]
     inv += 1e-5                 # eps
@@ -612,6 +637,9 @@ def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
     T._tick(8 * xv.size)
 
     def vjp(g):
+        # xhat is rebuilt from the kept row statistics by the forward's own passes
+        xhat = xv - mu
+        xhat *= inv
         dx = t = None
         if x.requires:
             dxhat = g * gamma.value

@@ -18,6 +18,29 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--threads", type=int)
 
 
+def _lengths(arg: str) -> tuple[int, ...]:
+    try:
+        lengths = tuple(int(n) for n in arg.split(","))
+    except ValueError:
+        lengths = ()
+    if not lengths or min(lengths) < 1:
+        raise argparse.ArgumentTypeError(f"{arg!r} is not a comma-separated list of "
+                                         "positive integers")
+    return lengths
+
+
+def _at_least(lo: int):
+    def count(arg: str) -> int:
+        try:
+            n = int(arg)
+        except ValueError:
+            n = lo - 1
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"{arg!r} is not an integer of at least {lo}")
+        return n
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tttlab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -41,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="wall-time/memory scaling of ttt vs softmax")
     _add_common(p)
-    p.add_argument("--lengths", default="256,512,1024,2048,4096,8192")
-    p.add_argument("--reps", type=int, default=9)
-    p.add_argument("--warmup", type=int, default=3)
+    p.add_argument("--lengths", type=_lengths, default="256,512,1024,2048,4096,8192")
+    p.add_argument("--reps", type=_at_least(1), default=9)
+    p.add_argument("--warmup", type=_at_least(0), default=3)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full matrix")
     _add_common(p)
@@ -104,8 +127,7 @@ def main(argv=None) -> int:
         print(f"wrote {len(report['rows'])} cells to {report['csv']}")
         return 0
     if args.command == "bench":
-        lengths = tuple(int(n) for n in args.lengths.split(","))
-        report = cmd_bench(rc, lengths=lengths, reps=args.reps, warmup=args.warmup)
+        report = cmd_bench(rc, lengths=args.lengths, reps=args.reps, warmup=args.warmup)
         print(f"wrote {len(report['rows'])} rows to {report['csv']}")
         return 0
     if args.command == "gradcheck":

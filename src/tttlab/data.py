@@ -17,6 +17,7 @@ import numpy as np
 CIFAR_CLASSES = 10
 _REC = 3073
 CIFAR_SIDE = 32
+CIFAR_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6)) + ("test_batch.bin",)
 
 # applied by the trainer, not the loader (keeps the loader bit-exact)
 CIFAR_MEAN = np.array([0.4914, 0.4822, 0.4465], dtype=np.float32)
@@ -54,8 +55,7 @@ def load_cifar10(path: str, split: str = "train") -> Dataset:
     if os.path.isfile(path):
         with open(path, "rb") as fp:
             return _parse_records(fp.read(), path)
-    names = ([f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train"
-             else ["test_batch.bin"])
+    names = CIFAR_FILES[:5] if split == "train" else CIFAR_FILES[5:]
     chunks = []
     for name in names:
         batch_path = os.path.join(path, name)
@@ -160,10 +160,9 @@ def write_synthetic_cifar(dirpath: str, seed: int = 0, n_train: int = 5000,
     """
     os.makedirs(dirpath, exist_ok=True)
     rng = np.random.default_rng(seed)
-    per = [(f"data_batch_{i}.bin", n_train // 5) for i in range(1, 5)]
-    per += [("data_batch_5.bin", n_train - 4 * (n_train // 5)), ("test_batch.bin", n_test)]
+    counts = [n_train // 5] * 4 + [n_train - 4 * (n_train // 5), n_test]
     yy, xx = np.mgrid[0:CIFAR_SIDE, 0:CIFAR_SIDE].astype(np.float32)
-    for name, count in per:
+    for name, count in zip(CIFAR_FILES, counts):
         rec = np.empty((count, _REC), dtype=np.uint8)
         for i in range(count):
             label = int(rng.integers(0, CIFAR_CLASSES))
@@ -204,11 +203,18 @@ def _synth_image(label: int, rng: np.random.Generator, yy, xx) -> np.ndarray:
     return (np.clip(img, 0, 1) * 255).astype(np.uint8)
 
 
+def missing_cifar10(path: str) -> str | None:
+    """The first of the six CIFAR-10 batch files that dir `path` lacks, or None."""
+    return next((name for name in CIFAR_FILES
+                 if not os.path.exists(os.path.join(path, name))), None)
+
+
 def find_cifar10(preferred: str | None = None) -> str | None:
-    """Locate real CIFAR-10 binaries: explicit path, env var, or ./data."""
+    """Locate real CIFAR-10 binaries, all six batch files: explicit path, env var,
+    or ./data."""
     candidates = [preferred, os.environ.get("TTTLAB_CIFAR10"),
                   os.path.join("data", "cifar-10-batches-bin")]
     for cand in candidates:
-        if cand and os.path.exists(os.path.join(cand, "data_batch_1.bin")):
+        if cand and missing_cifar10(cand) is None:
             return cand
     return None

@@ -151,9 +151,9 @@ class RunConfig:
                 raise ValueError(f"head_archs {grid_heads} need an image grid, which a "
                                  "recall sequence does not have")
             return self
-        if self.data_path and D.find_cifar10(self.data_path) != self.data_path:
-            raise ValueError(f"data_path {self.data_path!r} holds no CIFAR-10 "
-                             "(no data_batch_1.bin)")
+        missing = self.data_path and D.missing_cifar10(self.data_path)
+        if missing:
+            raise ValueError(f"data_path {self.data_path!r} holds no CIFAR-10 (no {missing})")
         hidden = int(self.mlp_ratio * self.dim)
         if hidden < 1:
             raise ValueError(f"mlp_ratio {self.mlp_ratio} gives an MLP hidden width of "
@@ -245,7 +245,7 @@ def _synthetic_cifar(root: str, rc: RunConfig) -> str | None:
         return None
     n_train, n_test = max(rc.train_size, 5000), max(rc.val_size, 1000)
     path = os.path.join(root, f"synthetic-cifar-bin-s{rc.seed}-{n_train}-{n_test}")
-    if not os.path.exists(os.path.join(path, "data_batch_1.bin")):
+    if D.missing_cifar10(path):
         D.write_synthetic_cifar(path, seed=rc.seed, n_train=n_train, n_test=n_test)
     return path
 

@@ -138,7 +138,7 @@ def ttt_block_nodes(x: Node, leaves: dict[str, Node], layer: TTTLayerParams,
     x = ad.add(x, ttt_attention_nodes(h, leaves, layer, cfg.inner, cfg.grid,
                                       prefix=f"{prefix}ttt."))
     h = ad.layer_norm(x, leaves[f"{prefix}ln2.g"], leaves[f"{prefix}ln2.b"])
-    m = ad.silu(ad.linear(h, leaves[f"{prefix}mlp.w1"], leaves[f"{prefix}mlp.b1"]))
+    m = ad.linear_silu(h, leaves[f"{prefix}mlp.w1"], leaves[f"{prefix}mlp.b1"])
     m = ad.linear(m, leaves[f"{prefix}mlp.w2"], leaves[f"{prefix}mlp.b2"])
     return ad.add(x, m)
 

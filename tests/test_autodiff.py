@@ -117,6 +117,19 @@ class TestPerOpGradients:
                 return ad.sum_all(ad.mul(out, out))
             assert gradcheck(f, {"x": x0, "w": w0, "b": b0}) < 1e-7
 
+    def test_linear_silu(self):
+        for xshape in ((2, 3, 4), (3, 4)):
+            x0 = RNG.standard_normal(xshape)
+            w0 = RNG.standard_normal((4, 5))
+            b0 = RNG.standard_normal(5)
+
+            def f(p, t):
+                out = ad.linear_silu(t.leaf(p["x"], name="x", param=True),
+                                     t.leaf(p["w"], name="w", param=True),
+                                     t.leaf(p["b"], name="b", param=True))
+                return ad.sum_all(ad.mul(out, out))
+            assert gradcheck(f, {"x": x0, "w": w0, "b": b0}) < 1e-7
+
     def test_linear_counts_like_matmul_plus_bias(self):
         x0, w0, b0 = RNG.standard_normal((2, 3, 4)), RNG.standard_normal((4, 5)), np.zeros(5)
         t = Tape()
@@ -538,6 +551,7 @@ PRUNED_OPS = {
     "matmul_shared": (ad.matmul, lambda: [_w(2, 4, 3), _w(3, 5)]),
     "matmul_stacked": (ad.matmul, lambda: [_w(2, 4, 3), _w(2, 3, 5)]),
     "linear": (ad.linear, lambda: [_w(2, 4, 3), _w(3, 5), _w(5)]),
+    "linear_silu": (ad.linear_silu, lambda: [_w(2, 4, 3), _w(3, 5), _w(5)]),
     "mul": (ad.mul, lambda: [_w(2, 4, 3), _w(3)]),
     "mul_column": (ad.mul, lambda: [_w(2, 4, 3), _w(2, 4, 1)]),
     "mul_matrix_scalar": (ad.mul, lambda: [_w(2, 4, 3), _w(2, 1, 1)]),
@@ -748,6 +762,21 @@ class TestNonRecordingTape:
         recording()
         full = peak()
         assert lean <= full / 4, (lean, full)
+
+    def test_step_peak_memory(self):
+        # b=64 micro classifier step: the MLP's hidden activation is held once
+        # and LayerNorm keeps its row statistics, not xhat (with a second copy
+        # of each, the peak was 183 MB)
+        model = Model(ModelConfig(), np.random.default_rng(0))
+        images = np.random.default_rng(1).standard_normal((64, 32, 32, 3)).astype(np.float32)
+        labels = np.random.default_rng(2).integers(0, 10, 64)
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 168e6, peak
 
 
 # ---------------------------------------------------------------------------

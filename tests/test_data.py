@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tttlab.data import (FormatError, augment, load_cifar10, synth_recall_task,
+from tttlab.data import (FormatError, augment, find_cifar10, load_cifar10, synth_recall_task,
                          write_synthetic_cifar)
+
+# the six files of CIFAR-10's binary layout
+CIFAR_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
 
 
 def make_record(label, fill):
@@ -75,6 +78,20 @@ class TestCifarLoader:
     def test_missing_batch_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_cifar10(str(tmp_path), "train")
+
+    def test_find_needs_all_six_files_at_every_candidate(self, tmp_path, monkeypatch):
+        # the explicit path, $TTTLAB_CIFAR10 and ./data each count only when whole
+        monkeypatch.chdir(tmp_path)
+        full, env = tmp_path / "data" / "cifar-10-batches-bin", tmp_path / "env"
+        write_synthetic_cifar(str(full), seed=1, n_train=5, n_test=1)
+        write_synthetic_cifar(str(env), seed=1, n_train=5, n_test=1)
+        (env / "test_batch.bin").unlink()
+        monkeypatch.setenv("TTTLAB_CIFAR10", str(env))
+        assert find_cifar10(str(env)) == find_cifar10() == str(full.relative_to(tmp_path))
+        for name in CIFAR_FILES:
+            (full / name).rename(tmp_path / name)
+            assert find_cifar10() is None, name
+            (tmp_path / name).rename(full / name)
 
 
 class TestSynthRecall:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import tempfile
 from dataclasses import fields
 from types import SimpleNamespace
@@ -140,6 +141,16 @@ class TestRunConfig:
                 RunConfig.from_dict(doc)
             RunConfig.from_dict({**doc, "task": "recall"})      # recall reads no data
         RunConfig.from_dict({"task": "cifar", "data_path": tiny_cifar})
+
+    def test_cifar_data_path_missing_a_batch_file_rejected(self, tmp_path, tiny_cifar):
+        # a dir holding only some of the six files names the first one it lacks
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            path = tmp_path / name.replace(".", "-")
+            shutil.copytree(tiny_cifar, path)
+            (path / name).unlink()
+            with pytest.raises(ValueError, match=f"^data_path {re.escape(repr(str(path)))} "
+                                                 rf"holds no CIFAR-10 \(no {name}\)$"):
+                RunConfig.from_dict({"task": "cifar", "data_path": str(path)})
 
     def test_task_shape_limits_accepted(self):
         RunConfig.from_json('{"recall_seq": 33, "recall_keys": 32, "inner_parts": 33}')
@@ -589,6 +600,33 @@ class TestCli:
         assert exc.value.code == 2
         assert "data_path 'empty' holds no CIFAR-10" in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["empty"]
+
+    def test_cifar_data_missing_a_batch_file_is_a_usage_error(self, capsys, tmp_path,
+                                                               monkeypatch):
+        from tttlab.cli import main
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "part").mkdir()
+        (tmp_path / "part" / "data_batch_1.bin").write_bytes(bytes(3073))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--task", "cifar", "--data", "part", "--epochs", "1",
+                  "--train-size", "16", "--val-size", "8"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "data_path 'part' holds no CIFAR-10 (no data_batch_2.bin)" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["part"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lengths", "16,abc"), ("--lengths", "16,0"), ("--lengths", "-4"),
+        ("--lengths", ""), ("--reps", "0"), ("--reps", "x"), ("--warmup", "-1")])
+    def test_bench_bad_number_is_a_usage_error(self, capsys, tmp_path, flag, value):
+        from tttlab.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--out", str(tmp_path / "b"), "--lengths", "16", flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value!r} is not" in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists()
 
     def test_bench_cli(self, tmp_path):
         from tttlab.cli import main

@@ -2,6 +2,7 @@
 
 Each reference below is the plain numpy formula: the broadcast matmul with
 its cotangents summed back by `_unbroadcast`, matmul followed by a bias add,
+`linear` followed by `silu` (which `linear_silu` fuses),
 the `np.var` LayerNorm, the tanh sigmoid, the nine shifted multiply-adds of
 the depthwise conv, the windowed `.sum(axis=(1, 2))` kernel gradient, and the
 nine-copy im2col. Kernels that only reorder elementwise passes must match
@@ -162,6 +163,33 @@ class TestMatmulKernels:
         assert_close(db, _unbroadcast(g, bv.shape), _unbroadcast(ag, bv.shape), dtype)
         # the bias add itself is unchanged arithmetic on the same product
         assert np.array_equal(out, T.matmul(xv, wv) + bv)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("sa,sb", [((8, 64, 32), (32, 48)), ((64, 32), (32, 48))])
+    def test_linear_silu_matches_linear_then_silu(self, sa, sb, dtype):
+        rng = np.random.default_rng(14)
+        # pre-activations of order one, so SiLU' takes both signs
+        xv, wv = randn(rng, sa, dtype), randn(rng, sb, dtype) * 0.2
+        bv = randn(rng, sb[-1:], dtype)
+        with T.count_flops() as fused:
+            out, node = tape_op(ad.linear_silu, xv, wv, bv)
+        t = Tape()
+        with T.count_flops() as chain:
+            h = ad.linear(*(t.leaf(v, name=f"p{i}", param=True)
+                            for i, v in enumerate((xv, wv, bv))))
+            ref = ad.silu(h)
+        assert fused.total == chain.total
+        assert np.array_equal(out, ref.value)
+        g = randn(rng, out.shape, dtype)
+        got = node.vjp(g)
+        want = h.vjp(ref.vjp(g)[0])
+        # SiLU' rounds differently (s + out (1 - s) against s (1 + h (1 - s))),
+        # so each cotangent is held to the tolerance of its terms' absolute sum
+        s = T.sigmoid(h.value)
+        dh_abs = np.abs(g) * (s + np.abs(out) * (1.0 - s))
+        sdx, sdw = ref_matmul_vjp(np.abs(xv), np.abs(wv), dh_abs)
+        for a, b, scale in zip(got, want, (sdx, sdw, _unbroadcast(dh_abs, bv.shape))):
+            assert_close(a, b, scale, dtype)
 
     def test_linear_rejects_bad_operands(self):
         with pytest.raises(T.DimensionError):
@@ -357,6 +385,13 @@ class TestDebugCoverage:
             tape_op(ad.linear, poisoned((2, 4, 3)), np.ones((3, 5)), np.zeros(5))
         _, node = tape_op(ad.linear, np.ones((2, 4, 3)), np.ones((3, 5)), np.zeros(5))
         with pytest.raises(T.NonFiniteError, match="^linear vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_linear_silu(self):
+        with pytest.raises(T.NonFiniteError, match="^linear_silu produced"):
+            tape_op(ad.linear_silu, poisoned((2, 4, 3)), np.ones((3, 5)), np.zeros(5))
+        _, node = tape_op(ad.linear_silu, np.ones((2, 4, 3)), np.ones((3, 5)), np.zeros(5))
+        with pytest.raises(T.NonFiniteError, match="^linear_silu vjp produced"):
             node.vjp(nan_like(node.value))
 
     def test_layer_norm(self):
