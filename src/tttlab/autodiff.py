@@ -414,6 +414,34 @@ def linear_silu(x: Node, w: Node, b: Node) -> Node:
     return x.tape.push(out, (x, w, b), vjp, "linear_silu")
 
 
+# residual adds: r + op(...) as one tape op, so a branch's output is no node of its own
+
+def _add_residual(r: Node, out: np.ndarray, inputs: tuple, base_vjp, op: str) -> Node:
+    """r added in place into out, the base op's fresh buffer: `add(r, base)` bit for bit,
+    as IEEE addition commutes. The vjp hands g itself to r, as add does."""
+    if out.shape != r.value.shape or out.dtype != r.value.dtype:
+        raise T.DimensionError(f"{op}: residual {r.value.shape} {r.value.dtype} does not "
+                               f"match the branch's {out.shape} {out.dtype}")
+    out += r.value
+    T._tick(out.size)
+    return r.tape.push(out, (r, *inputs),
+                       lambda g: (g if r.requires else None, *base_vjp(g)), op)
+
+
+def add_matmul(r: Node, a: Node, w: Node) -> Node:
+    """r + a @ w for a shared 2-D w."""
+    if w.value.ndim != 2:
+        raise T.DimensionError(f"add_matmul needs a shared 2-D weight, got {w.value.shape}")
+    return _add_residual(r, T.matmul(a.value, w.value), (a, w),
+                         lambda g: _shared_weight_vjp(g, a, w), "add_matmul")
+
+
+def add_linear(r: Node, x: Node, w: Node, b: Node) -> Node:
+    """r + (x @ w + b) for a shared [K, N] weight and [N] bias."""
+    return _add_residual(r, T.linear(x.value, w.value, b.value), (x, w, b),
+                         lambda g: _linear_vjp(g, x, w, b), "add_linear")
+
+
 # ---------------------------------------------------------------------------
 # layout
 
@@ -677,17 +705,23 @@ def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     return logits.tape.push(out, (logits,), vjp, "cross_entropy")
 
 
+def _dwconv3x3_vjp(g: np.ndarray, x: Node, k: Node):
+    dx = T.dwconv3x3(g, T.flip_dw(k.value)) if x.requires else None
+    dk = T.dwconv3x3_wgrad(x.value, g, per_sample=(k.value.ndim == 4)) if k.requires else None
+    return dx, dk
+
+
 def dwconv3x3(x: Node, k: Node) -> Node:
     """Depthwise 3x3 conv on [b,H,W,C]; kernel shared [3,3,C] or per-sample [b,3,3,C]."""
-    xv, kv = x.value, k.value
-    out = T.dwconv3x3(xv, kv)
+    out = T.dwconv3x3(x.value, k.value)
+    return x.tape.push(out, (x, k), lambda g: _dwconv3x3_vjp(g, x, k), "dwconv3x3")
 
-    def vjp(g):
-        dx = T.dwconv3x3(g, T.flip_dw(kv)) if x.requires else None
-        dk = T.dwconv3x3_wgrad(xv, g, per_sample=(kv.ndim == 4)) if k.requires else None
-        return dx, dk
 
-    return x.tape.push(out, (x, k), vjp, "dwconv3x3")
+def add_dwconv3x3(r: Node, x: Node, k: Node) -> Node:
+    """r + dwconv3x3(x, k) in r's shape; x is the [.., H, W, C] grid of r's rows."""
+    out = T.dwconv3x3(x.value, k.value)
+    return _add_residual(r, out.reshape(r.value.shape), (x, k),
+                         lambda g: _dwconv3x3_vjp(g.reshape(out.shape), x, k), "add_dwconv3x3")
 
 
 def dwconv3x3_wgrad(x: Node, g_in: Node) -> Node:

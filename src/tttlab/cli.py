@@ -41,6 +41,13 @@ def _at_least(lo: int):
     return count
 
 
+def _tolerance(arg: str) -> float:
+    tol = float(arg)            # argparse reports a non-number as an invalid value
+    if not 0.0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"{arg!r} is not a positive finite number")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tttlab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full matrix")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
 
     p = sub.add_parser("lossreport", help="mixed second derivatives vs finite differences")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_tolerance, default=1e-5)
     return parser
 
 

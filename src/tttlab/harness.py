@@ -218,8 +218,8 @@ class RecallModel(M.Classifier):
         leaves = self._leaves(tape)
         x = ad.linear(tape.leaf(tokens), leaves["embed.w"], leaves["embed.b"])
         h = ad.layer_norm(x, leaves["ln.g"], leaves["ln.b"])
-        x = ad.add(x, ttt_attention_nodes(h, leaves, self.layer, self.inner_cfg,
-                                          None, prefix="ttt."))
+        x = ttt_attention_nodes(h, leaves, self.layer, self.inner_cfg, None, prefix="ttt.",
+                                residual=x)
         n = tokens.shape[-2]
         q = ad.reshape(ad.rows(x, n - 1, n), (tokens.shape[0], x.value.shape[-1]))
         return ad.linear(q, leaves["head.w"], leaves["head.b"])

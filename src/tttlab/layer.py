@@ -76,8 +76,10 @@ class TTTLayerParams:
 
 
 def ttt_attention_nodes(x: Node, leaves: dict[str, Node], params: TTTLayerParams,
-                        cfg: InnerTrainConfig, grid=None, prefix: str = "") -> Node:
-    """Tape-level layer forward on [.., N, C] rows; leaves hold the parameter nodes."""
+                        cfg: InnerTrainConfig, grid=None, prefix: str = "",
+                        residual: Node | None = None) -> Node:
+    """Tape-level layer forward on [.., N, C] rows; leaves hold the parameter nodes.
+    A residual is added to the output by the output projection's own op."""
     outs = []
     for h in range(params.heads):
         arch = get_arch(params.head_archs[h])
@@ -93,7 +95,8 @@ def ttt_attention_nodes(x: Node, leaves: dict[str, Node], params: TTTLayerParams
         except DivergenceError as e:
             raise DivergenceError(f"{prefix}h{h}: {e}") from e
         outs.append(arch.forward(ws_star, q, grid))
-    return ad.matmul(ad.concat_last(outs), leaves[f"{prefix}wo"])
+    cat, wo = ad.concat_last(outs), leaves[f"{prefix}wo"]
+    return ad.matmul(cat, wo) if residual is None else ad.add_matmul(residual, cat, wo)
 
 
 def ttt_attention(x: np.ndarray, params: TTTLayerParams, cfg: InnerTrainConfig,

@@ -132,15 +132,13 @@ def ttt_block_nodes(x: Node, leaves: dict[str, Node], layer: TTTLayerParams,
     hp, wp = cfg.grid
     lead = x.value.shape[:-2]
     xg = ad.reshape(x, (*lead, hp, wp, cfg.dim))
-    cpe = ad.reshape(ad.dwconv3x3(xg, leaves[f"{prefix}cpe"]), x.value.shape)
-    x = ad.add(x, cpe)
+    x = ad.add_dwconv3x3(x, xg, leaves[f"{prefix}cpe"])
     h = ad.layer_norm(x, leaves[f"{prefix}ln1.g"], leaves[f"{prefix}ln1.b"])
-    x = ad.add(x, ttt_attention_nodes(h, leaves, layer, cfg.inner, cfg.grid,
-                                      prefix=f"{prefix}ttt."))
+    x = ttt_attention_nodes(h, leaves, layer, cfg.inner, cfg.grid, prefix=f"{prefix}ttt.",
+                            residual=x)
     h = ad.layer_norm(x, leaves[f"{prefix}ln2.g"], leaves[f"{prefix}ln2.b"])
     m = ad.linear_silu(h, leaves[f"{prefix}mlp.w1"], leaves[f"{prefix}mlp.b1"])
-    m = ad.linear(m, leaves[f"{prefix}mlp.w2"], leaves[f"{prefix}mlp.b2"])
-    return ad.add(x, m)
+    return ad.add_linear(x, m, leaves[f"{prefix}mlp.w2"], leaves[f"{prefix}mlp.b2"])
 
 
 def forward_classifier(model: Classifier, x: np.ndarray) -> np.ndarray:

@@ -490,7 +490,8 @@ class TestCli:
 
     def test_lossreport_mismatch_exits_1(self, capsys):
         from tttlab.cli import main
-        assert main(["lossreport", "--tol", "0"]) == 1
+        # the smallest positive tolerance: --tol 0, which no check can pass, is refused
+        assert main(["lossreport", "--tol", "5e-324"]) == 1
         assert "mismatches" in capsys.readouterr().out
 
     def test_ablate_grid_file(self, tmp_path):
@@ -627,6 +628,18 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument {flag}: {value!r} is not" in err and "Traceback" not in err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command", ["lossreport", "gradcheck"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tmp_path, command, value):
+        # nan and -1 failed every check and inf passed every one
+        from tttlab.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "c"), "--tol", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument --tol: {value!r} is not a positive finite number" in err
+        assert not (tmp_path / "c").exists()
 
     def test_bench_cli(self, tmp_path):
         from tttlab.cli import main

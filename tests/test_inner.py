@@ -477,6 +477,7 @@ class TestDerivedWeightGrads:
     @pytest.mark.parametrize("op, fwd", [
         ("sigmoid", lambda ws, x: ad.sigmoid(ad.matmul(x, ws[0]))),
         ("add", lambda ws, x: ad.add(ad.matmul(x, ws[0]), ws[1])),     # a broadcast bias
+        ("add_matmul", lambda ws, x: ad.add_matmul(x, x, ws[0])),       # a fused residual add
     ])
     def test_op_without_a_rule_is_named(self, op, fwd):
         t = Tape()

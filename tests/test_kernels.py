@@ -2,7 +2,8 @@
 
 Each reference below is the plain numpy formula: the broadcast matmul with
 its cotangents summed back by `_unbroadcast`, matmul followed by a bias add,
-`linear` followed by `silu` (which `linear_silu` fuses),
+`linear` followed by `silu` (which `linear_silu` fuses), `ad.add` after a
+matmul, linear or depthwise conv (which the residual ops fuse),
 the `np.var` LayerNorm, the tanh sigmoid, the nine shifted multiply-adds of
 the depthwise conv, the windowed `.sum(axis=(1, 2))` kernel gradient, and the
 nine-copy im2col. Kernels that only reorder elementwise passes must match
@@ -340,6 +341,74 @@ class TestPatches:
 
 
 # ---------------------------------------------------------------------------
+# residual adds: the base op's buffer takes r in place -> the chain's bits
+
+def _grid_branch(r, x, k):
+    return ad.reshape(ad.dwconv3x3(x, k), r.value.shape)
+
+
+# (fused op, its base op as the chain builds it, shapes of r and the base operands)
+RESIDUAL_CASES = {
+    "matmul_rows": (ad.add_matmul, lambda r, a, w: ad.matmul(a, w),
+                    [(8, 16, 12), (8, 16, 20), (20, 12)]),
+    "matmul_2d": (ad.add_matmul, lambda r, a, w: ad.matmul(a, w), [(16, 10), (16, 12), (12, 10)]),
+    "matmul_ttt_out": (ad.add_matmul, lambda r, a, w: ad.matmul(a, w),
+                       [(64, 64, 64), (64, 64, 64), (64, 64)]),
+    "linear_rows": (ad.add_linear, lambda r, x, w, b: ad.linear(x, w, b),
+                    [(8, 16, 12), (8, 16, 48), (48, 12), (12,)]),
+    "linear_2d": (ad.add_linear, lambda r, x, w, b: ad.linear(x, w, b),
+                  [(16, 10), (16, 12), (12, 10), (10,)]),
+    "dwconv3x3_cpe": (ad.add_dwconv3x3, _grid_branch, [(64, 64, 64), (64, 8, 8, 64), (3, 3, 64)]),
+    "dwconv3x3_per_sample": (ad.add_dwconv3x3, _grid_branch,
+                             [(4, 30, 3), (4, 5, 6, 3), (4, 3, 3, 3)]),
+    "dwconv3x3_unbatched": (ad.add_dwconv3x3, _grid_branch, [(35, 4), (5, 7, 4), (3, 3, 4)]),
+}
+
+
+def _residual_run(build, values):
+    """Value, FLOP ticks and every parameter's gradient of one forward built on a
+    fresh tape from parameter leaves; the root pairs the output with a fixed g."""
+    t = Tape()
+    leaves = [t.leaf(v, name=f"p{i}", param=True) for i, v in enumerate(values)]
+    with T.count_flops() as fc:
+        out = build(*leaves)
+    g = np.random.default_rng(16).standard_normal(out.value.shape).astype(out.value.dtype)
+    grads = t.backward(ad.sum_all(ad.mul(out, t.leaf(g))))
+    return out.value, fc.total, [grads[f"p{i}"] for i in range(len(values))]
+
+
+class TestResidualAdds:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+    def test_bit_identical_to_op_then_add(self, case, dtype):
+        fused, base, shapes = RESIDUAL_CASES[case]
+        rng = np.random.default_rng(15)
+        values = [randn(rng, s, dtype) for s in shapes]
+        got = _residual_run(fused, values)
+        want = _residual_run(lambda r, *ins: ad.add(r, base(r, *ins)), values)
+        assert got[1] == want[1]
+        for a, b in zip([got[0], *got[2]], [want[0], *want[2]], strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+    def test_residual_must_match_the_branch(self, case):
+        fused, _, shapes = RESIDUAL_CASES[case]
+        t = Tape()
+        r, *ins = (t.leaf(np.ones(s)) for s in shapes)
+        with pytest.raises(T.DimensionError, match="residual"):
+            fused(t.leaf(r.value.astype(np.float32)), *ins)
+        if fused is not ad.add_dwconv3x3:       # the grid fixes the residual's size
+            with pytest.raises(T.DimensionError, match="residual"):
+                fused(t.leaf(np.ones(shapes[0][:-1] + (shapes[0][-1] + 1,))), *ins)
+
+    def test_add_matmul_needs_a_shared_weight(self):
+        t = Tape()
+        with pytest.raises(T.DimensionError, match="shared 2-D"):
+            ad.add_matmul(t.leaf(np.ones((2, 4, 5))), t.leaf(np.ones((2, 4, 3))),
+                          t.leaf(np.ones((2, 3, 5))))
+
+
+# ---------------------------------------------------------------------------
 # debug mode names the op whose forward value or cotangent went non-finite
 
 @pytest.fixture
@@ -392,6 +461,16 @@ class TestDebugCoverage:
             tape_op(ad.linear_silu, poisoned((2, 4, 3)), np.ones((3, 5)), np.zeros(5))
         _, node = tape_op(ad.linear_silu, np.ones((2, 4, 3)), np.ones((3, 5)), np.zeros(5))
         with pytest.raises(T.NonFiniteError, match="^linear_silu vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    @pytest.mark.parametrize("case", ["matmul_rows", "linear_rows", "dwconv3x3_per_sample"])
+    def test_residual_add(self, case):
+        fused, _, shapes = RESIDUAL_CASES[case]
+        op = fused.__name__
+        with pytest.raises(T.NonFiniteError, match=f"^{op} produced"):
+            tape_op(fused, poisoned(shapes[0]), *(np.ones(s) for s in shapes[1:]))
+        _, node = tape_op(fused, *(np.ones(s) for s in shapes))
+        with pytest.raises(T.NonFiniteError, match=f"^{op} vjp produced"):
             node.vjp(nan_like(node.value))
 
     def test_layer_norm(self):

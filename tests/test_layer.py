@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tttlab import autodiff as ad
 from tttlab import tensor as T
 from tttlab.autodiff import Tape
 from tttlab.inner import InnerTrainConfig
@@ -190,6 +191,26 @@ class TestTTTAttention:
         for b in range(3):
             single = ttt_attention(xb[b], p, cfg, grid=(3, 3))
             assert np.abs(batched[b] - single).max() < 1e-12
+
+    def test_residual_is_added_bit_for_bit(self):
+        p = make_params(16, 2, archs=("dwconv3x3", "gated_fc"), seed=6)
+        xb, rb = RNG.standard_normal((3, 9, 16)), RNG.standard_normal((3, 9, 16))
+        cfg = InnerTrainConfig(loss="mse", parts=2)
+        runs = []
+        for fused in (True, False):
+            tape = Tape()
+            leaves = {k: tape.leaf(v, name=k, param=True)
+                      for k, v in p.named_arrays().items()}
+            x, r = tape.leaf(xb, name="x", param=True), tape.leaf(rb, name="r", param=True)
+            if fused:
+                out = ttt_attention_nodes(x, leaves, p, cfg, (3, 3), residual=r)
+            else:
+                out = ad.add(r, ttt_attention_nodes(x, leaves, p, cfg, (3, 3)))
+            runs.append((out.value, len(tape.nodes),
+                         tape.backward(ad.sum_all(ad.mul(out, out)))))
+        (got, n_fused, g_fused), (want, n_chain, g_chain) = runs
+        assert np.array_equal(got, want) and n_fused == n_chain - 1
+        assert all(np.array_equal(g_fused[k], g_chain[k]) for k in g_chain)
 
     def test_divergence_sentinel_propagates(self):
         from tttlab.inner import DivergenceError
