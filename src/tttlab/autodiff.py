@@ -686,21 +686,24 @@ def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
     return x.tape.push(out, (x, gamma, beta), vjp, "layer_norm")
 
 
-def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
-    """Mean negative log-likelihood of integer labels under softmax(logits)."""
+def cross_entropy(logits: Node, labels: np.ndarray, total: int | None = None) -> Node:
+    """Negative log-likelihood of integer labels under softmax(logits), summed over
+    the rows and divided by `total` (the row count, a mean, when None): a chunk of
+    a batch divides by the batch size, so its rows get the whole batch's cotangents."""
     lv = logits.value
     shifted = lv - lv.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1))
     n = lv.shape[0]
     nll = logz - shifted[np.arange(n), labels]
-    out = np.asarray(nll.mean())
+    total = n if total is None else total
+    out = np.asarray(nll.sum() / total)
     T._tick(5 * lv.size)
 
     def vjp(g):
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
-        return (p * (g / n),)
+        return (p * (g / total),)
 
     return logits.tape.push(out, (logits,), vjp, "cross_entropy")
 
@@ -720,6 +723,9 @@ def dwconv3x3(x: Node, k: Node) -> Node:
 def add_dwconv3x3(r: Node, x: Node, k: Node) -> Node:
     """r + dwconv3x3(x, k) in r's shape; x is the [.., H, W, C] grid of r's rows."""
     out = T.dwconv3x3(x.value, k.value)
+    if out.size != r.value.size:
+        raise T.DimensionError(f"add_dwconv3x3: residual {r.value.shape} does not hold "
+                               f"the grid's {out.shape}")
     return _add_residual(r, out.reshape(r.value.shape), (x, k),
                          lambda g: _dwconv3x3_vjp(g.reshape(out.shape), x, k), "add_dwconv3x3")
 

@@ -42,7 +42,10 @@ def _at_least(lo: int):
 
 
 def _tolerance(arg: str) -> float:
-    tol = float(arg)            # argparse reports a non-number as an invalid value
+    try:
+        tol = float(arg)
+    except ValueError:
+        tol = float("nan")
     if not 0.0 < tol < float("inf"):
         raise argparse.ArgumentTypeError(f"{arg!r} is not a positive finite number")
     return tol

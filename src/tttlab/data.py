@@ -45,8 +45,9 @@ def _parse_records(raw: bytes, source: str) -> Dataset:
     if labels.size and labels.max() >= CIFAR_CLASSES:
         raise FormatError(f"{source}: label {labels.max()} out of range")
     planes = rec[:, 1:].reshape(-1, 3, CIFAR_SIDE, CIFAR_SIDE)
-    images = planes.transpose(0, 2, 3, 1).astype(np.float32) / 255.0
-    return Dataset(images=np.ascontiguousarray(images), labels=labels)
+    images = np.empty((len(rec), CIFAR_SIDE, CIFAR_SIDE, 3), dtype=np.float32)
+    np.divide(planes.transpose(0, 2, 3, 1), np.float32(255), out=images)
+    return Dataset(images=images, labels=labels)
 
 
 def load_cifar10(path: str, split: str = "train") -> Dataset:

@@ -3,7 +3,7 @@
 Assembly: patch embed -> depth x [CPE residual + TTT(LN x) + MLP(LN x)] ->
 global average pooling -> linear head. Pre-norm, ratio-4 SiLU MLP, conditional
 positional encoding as a shared depthwise-conv residual before each block.
-Forward/backward run batched on [b, N, C] rows over one tape.
+Forward/backward run batched on [b, N, C] rows, at most STEP_ROWS rows per tape.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ class ModelConfig:
         return s * s
 
 
+# Token rows one training-step tape holds at most; more chunks cost step time
+STEP_ROWS = 2048
+
+
 class Classifier:
     """A parameter store with a logits builder; arrays are updated in place.
 
@@ -75,11 +79,25 @@ class Classifier:
                 for name, arr in self.params.items()}
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
-        tape = Tape()
-        logits = self.logits_nodes(tape, x)
-        loss = ad.cross_entropy(logits, labels)
-        grads = tape.backward(loss)
-        return float(loss.value), grads, logits.value
+        """Mean cross-entropy of a batch, its parameter gradients and its logits.
+
+        Samples interact only through the loss, so a batch of more than
+        STEP_ROWS token rows runs as chunks, each on a tape that backward
+        spends before the next records. Each chunk's loss is divided by the
+        whole batch, so every row's cotangent is the one-tape step's bit for
+        bit; only the sums over chunks round differently.
+        """
+        n, size = len(x), max(1, STEP_ROWS // self.tokens)
+        loss, grads, logits = 0.0, {}, []
+        for lo in range(0, n, size):
+            tape = Tape()
+            out = self.logits_nodes(tape, x[lo:lo + size])
+            nll = ad.cross_entropy(out, labels[lo:lo + size], total=n)
+            for name, g in tape.backward(nll).items():
+                grads[name] = grads[name] + g if name in grads else g
+            loss += float(nll.value)
+            logits.append(out.value)
+        return loss, grads, np.concatenate(logits)
 
 
 class Model(Classifier):

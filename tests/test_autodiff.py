@@ -186,6 +186,15 @@ class TestPerOpGradients:
             return ad.cross_entropy(t.leaf(p["l"], name="l", param=True), labels)
         assert gradcheck(f, {"l": logits0}) < 1e-8
 
+    def test_cross_entropy_of_a_chunk(self):
+        # a chunk of a batch three times its size divides its summed NLL by the batch
+        logits0 = RNG.standard_normal((4, 5))
+        labels = np.array([0, 3, 2, 1])
+
+        def f(p, t):
+            return ad.cross_entropy(t.leaf(p["l"], name="l", param=True), labels, total=12)
+        assert gradcheck(f, {"l": logits0}) < 1e-8
+
     def test_convs(self):
         x0 = RNG.standard_normal((2, 3, 3, 2))
         kd0 = RNG.standard_normal((3, 3, 2))
@@ -783,10 +792,12 @@ class TestNonRecordingTape:
         assert lean <= full / 4, (lean, full)
 
     def test_step_peak_memory(self):
-        # b=64 micro classifier step: the MLP's hidden activation is held once,
-        # LayerNorm keeps its row statistics, not xhat, and each residual branch's
-        # output is added in its own op's buffer (with a second copy of the first
-        # two, the peak was 183 MB; with the branch outputs as nodes, 159 MB)
+        # b=64 micro classifier step: it runs as two chunks of 32 images, each on
+        # a tape spent before the next records (on one tape, the peak was 147 MB).
+        # The MLP's hidden activation is held once, LayerNorm keeps its row
+        # statistics, not xhat, and each residual branch's output is added in its
+        # own op's buffer (with a second copy of the first two, the peak was 183 MB
+        # on one tape; with the branch outputs as nodes, 159 MB)
         model = Model(ModelConfig(), np.random.default_rng(0))
         images = np.random.default_rng(1).standard_normal((64, 32, 32, 3)).astype(np.float32)
         labels = np.random.default_rng(2).integers(0, 10, 64)
@@ -796,7 +807,7 @@ class TestNonRecordingTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 155e6, peak
+        assert peak <= 85e6, peak
 
 
 # ---------------------------------------------------------------------------

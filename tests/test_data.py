@@ -47,6 +47,19 @@ class TestCifarLoader:
         ds = load_cifar10(str(path))
         assert serialize_cifar10(ds) == raw.tobytes()
 
+    def test_pixels_are_the_scaled_float32_formula(self, tmp_path):
+        # converted in one pass into a C-contiguous array: no intermediate copies
+        rng = np.random.default_rng(1)
+        raw = rng.integers(0, 256, size=(256, 3073), dtype=np.uint8)
+        raw[:, 0] %= 10
+        path = tmp_path / "many.bin"
+        path.write_bytes(raw.tobytes())
+        ds = load_cifar10(str(path))
+        planes = raw[:, 1:].reshape(-1, 3, 32, 32)
+        want = planes.transpose(0, 2, 3, 1).astype(np.float32) / 255.0
+        assert ds.images.dtype == np.float32 and ds.images.flags.c_contiguous
+        assert np.array_equal(ds.images, want)
+
     def test_bad_length(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 3072)

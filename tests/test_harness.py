@@ -630,9 +630,10 @@ class TestCli:
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("command", ["lossreport", "gradcheck"])
-    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
     def test_bad_tolerance_is_a_usage_error(self, capsys, tmp_path, command, value):
-        # nan and -1 failed every check and inf passed every one
+        # nan and -1 failed every check and inf passed every one; abc got
+        # argparse's message for the type function, not this one
         from tttlab.cli import main
         with pytest.raises(SystemExit) as exc:
             main([command, "--out", str(tmp_path / "c"), "--tol", value])

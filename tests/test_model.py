@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tttlab import autodiff as ad
+from tttlab import model as model_mod
 from tttlab import tensor as T
 from tttlab.autodiff import Tape, gradcheck
 from tttlab.inner import ARCH_NAMES, LOSSES, InnerTrainConfig
@@ -392,6 +393,59 @@ class TestCheckpoint:
         for k in back:
             assert back[k].dtype == model.params[k].dtype
             assert back[k].tobytes() == model.params[k].tobytes()
+
+
+def one_tape_step(model, x, labels):
+    """The training step on a single tape: the reference for the chunked step."""
+    tape = Tape()
+    logits = model.logits_nodes(tape, x)
+    loss = ad.cross_entropy(logits, labels)
+    return float(loss.value), tape.backward(loss), logits.value
+
+
+class TestChunkedStep:
+    # 16x16 images in 4x4 patches are 16 token rows each: at STEP_ROWS = 48 a
+    # batch of 8 runs as chunks of 3, 3 and 2 images. (A chunk of one image
+    # would not do: its head is a [1, C] matmul, which BLAS rounds on another
+    # path in fp64, as forward_classifier on one image does.)
+    CFG = ModelConfig(image_size=16, patch_size=4, dim=8, heads=2, depth=1)
+    # the chunks' sums over 8 images round apart from one tape's, and only those
+    TOL = {np.float32: 1e-5, np.float64: 1e-13}
+
+    def batch(self, dtype, n=8):
+        model = Model(self.CFG, np.random.default_rng(12), dtype=dtype)
+        rng = np.random.default_rng(13)
+        return model, rng.standard_normal((n, 16, 16, 3)).astype(dtype), rng.integers(0, 10, n)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_match_one_tape(self, monkeypatch, dtype):
+        model, x, y = self.batch(dtype)
+        loss0, grads0, _ = one_tape_step(model, x, y)
+        sizes, build = [], model.logits_nodes
+        monkeypatch.setattr(model, "logits_nodes",
+                            lambda tape, xs: sizes.append(len(xs)) or build(tape, xs))
+        monkeypatch.setattr(model_mod, "STEP_ROWS", 48)
+        loss, grads, logits = model.loss_and_grads(x, y)
+        assert sizes == [3, 3, 2]
+        assert np.array_equal(logits, forward_classifier(model, x))
+        tol = self.TOL[dtype]
+        assert abs(loss - loss0) <= tol * abs(loss0)
+        assert grads.keys() == grads0.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype
+            assert np.abs(g - grads0[name]).max() <= tol * np.abs(grads0[name]).max(), name
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_chunk_is_one_tape_bit_for_bit(self, monkeypatch, n):
+        # 3 images fill STEP_ROWS = 48 exactly; 8 are far below the default 2048
+        model, x, y = self.batch(np.float32, n)
+        if n == 3:
+            monkeypatch.setattr(model_mod, "STEP_ROWS", 48)
+        loss0, grads0, logits0 = one_tape_step(model, x, y)
+        loss, grads, logits = model.loss_and_grads(x, y)
+        assert loss == loss0 and np.array_equal(logits, logits0)
+        for name, g in grads.items():
+            assert np.array_equal(g, grads0[name]), name
 
 
 class TestTrainingSmoke:
