@@ -83,9 +83,6 @@ class Node:
                                 "dropped by its owner; record the computation on a new Tape")
         return tape
 
-    def __repr__(self):
-        return f"Node({self.op}, shape={self.value.shape}, id={self.idx})"
-
 
 class Tape:
     """Records ops for one backward pass; `record=False` computes values only."""

@@ -11,11 +11,14 @@ from .harness import (RunConfig, ablation_cells, cmd_ablate, cmd_bench, cmd_grad
                       cmd_lossreport, cmd_train)
 
 
-def _add_common(p: argparse.ArgumentParser):
+_COMMON = {"--seed": {"type": int}, "--out": {"dest": "out_dir"}, "--threads": {"type": int}}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str):
+    """--config, then those of --seed, --out and --threads that the subcommand reads."""
     p.add_argument("--config", help="JSON file of RunConfig fields")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", dest="out_dir")
-    p.add_argument("--threads", type=int)
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
 
 
 def _lengths(arg: str) -> tuple[int, ...]:
@@ -41,22 +44,12 @@ def _at_least(lo: int):
     return count
 
 
-def _tolerance(arg: str) -> float:
-    try:
-        tol = float(arg)
-    except ValueError:
-        tol = float("nan")
-    if not 0.0 < tol < float("inf"):
-        raise argparse.ArgumentTypeError(f"{arg!r} is not a positive finite number")
-    return tol
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tttlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model, emit per-epoch CSV + checkpoint")
-    _add_common(p)
+    _add_common(p, "--seed", "--out")
     p.add_argument("--task", choices=["recall", "cifar"])
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -69,28 +62,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-parts", dest="inner_parts", type=int)
 
     p = sub.add_parser("ablate", help="cross-product grid of desk-scale trains")
-    _add_common(p)
+    _add_common(p, "--seed", "--out", "--threads")
     p.add_argument("--grid", help="JSON file or inline JSON of grid axes")
 
     p = sub.add_parser("bench", help="wall-time/memory scaling of ttt vs softmax")
-    _add_common(p)
+    _add_common(p, "--seed", "--out")
     p.add_argument("--lengths", type=_lengths, default="256,512,1024,2048,4096,8192")
     p.add_argument("--reps", type=_at_least(1), default=9)
     p.add_argument("--warmup", type=_at_least(0), default=3)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full matrix")
-    _add_common(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-4)
+    _add_common(p, "--threads")
 
     p = sub.add_parser("lossreport", help="mixed second derivatives vs finite differences")
-    _add_common(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-5)
+    _add_common(p, "--seed")
     return parser
 
 
 def _runconfig(args) -> RunConfig:
     doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fp:
             doc = json.load(fp)
         if not isinstance(doc, dict):
@@ -141,19 +132,18 @@ def main(argv=None) -> int:
         print(f"wrote {len(report['rows'])} rows to {report['csv']}")
         return 0
     if args.command == "gradcheck":
-        report = cmd_gradcheck(rc, tol=args.tol)
+        report = cmd_gradcheck(rc)
         if report["failures"]:
-            print(f"{len(report['failures'])} cells FAILED at tol {args.tol}")
+            print(f"{len(report['failures'])} cells FAILED at tol {report['tol']}")
             return 1
-        print(f"all {len(report['cells'])} cells passed at tol {args.tol}")
+        print(f"all {len(report['cells'])} cells passed at tol {report['tol']}")
         return 0
-    if args.command == "lossreport":
-        report = cmd_lossreport(seed=rc.seed, tol=args.tol)
-        if report["failures"]:
-            print(f"mismatches: {report['failures']}")
-            return 1
-        return 0
-    raise AssertionError(args.command)
+    report = cmd_lossreport(seed=rc.seed)
+    if report["failures"]:
+        print(f"mismatches at tol {report['tol']}: {report['failures']}")
+        return 1
+    print(f"all {len(report['rows'])} losses matched at tol {report['tol']}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -194,6 +194,20 @@ def _write_manifest(rc: RunConfig, outputs: list[str], status: str, extra=None):
     return path
 
 
+def _write_table(rc: RunConfig, name: str, columns: tuple, rows: list[dict],
+                 extra=None) -> dict:
+    """Write rows as out_dir/name, replacing the previous table only once every row is
+    written, then the manifest that lists it."""
+    os.makedirs(rc.out_dir, exist_ok=True)
+    path = os.path.join(rc.out_dir, name)
+    with M.replacing(path) as (tmp,):
+        with open(tmp, "w", newline="") as fp:
+            writer = csv.DictWriter(fp, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(rows)
+    return {"csv": path, "rows": rows, "manifest": _write_manifest(rc, [path], "ok", extra)}
+
+
 # ---------------------------------------------------------------------------
 # recall model: embed -> pre-norm TTT residual -> readout at the query token
 
@@ -362,24 +376,12 @@ DEFAULT_GRID = {
 }
 
 
-def _cell_name(overrides: dict) -> str:
-    return ",".join(f"{k.removeprefix('inner_')}={v}" for k, v in overrides.items())
-
-
-def _cell_config(rc_doc: dict, overrides: dict, seed: int) -> RunConfig:
-    """The validated config of one grid cell; an axis that is no RunConfig field is refused."""
-    rc = RunConfig.from_dict({**rc_doc, **overrides, "seed": seed})
-    rc.out_dir = os.path.join(rc.out_dir, "cells",
-                              _cell_name(overrides).replace("=", "_") + f"_s{seed}")
-    return rc
-
-
 def ablate_cell(args: tuple) -> dict:
     """One grid cell: a desk-scale train of the configured task, then its trained model's
-    layer FLOPs and forward throughput. The job's last entry is the grid's synthetic
-    CIFAR set for this cell, or None; the cell links it where its training looks."""
-    rc_doc, overrides, seed, synthetic = args
-    rc = _cell_config(rc_doc, overrides, seed)
+    layer FLOPs and forward throughput. The job is the cell's name, its validated config
+    and the grid's synthetic CIFAR set for it, or None; the cell links that set where
+    its training looks."""
+    name, rc, synthetic = args
     if synthetic:
         link = os.path.join(rc.out_dir, os.path.basename(synthetic))
         if not os.path.lexists(link):
@@ -393,8 +395,7 @@ def ablate_cell(args: tuple) -> dict:
     throughput = _cell_throughput(model, task.val_x[:rc.batch_size])
     if throughput is None:
         throughput, status = "nan", "*"
-    return {"config": _cell_name(overrides) + f",seed={seed}",
-            "params": model.n_params(), "flops": layer_fl["total_executed"],
+    return {"config": name, "params": model.n_params(), "flops": layer_fl["total_executed"],
             "throughput": throughput, "metric": round(report["final_acc"], 4),
             "status": status}
 
@@ -415,9 +416,10 @@ def _cell_throughput(model: M.Classifier, x: np.ndarray) -> float | None:
     return round(len(x) * model.tokens / float(np.median(times)), 1)
 
 
-def ablation_cells(rc: RunConfig, grid: dict | None = None) -> list[tuple[tuple, RunConfig]]:
-    """(job, validated config) of every cell of the grid's cross product; a grid that
-    is no object of list-valued axes, or any cell no run could use, raises ValueError."""
+def ablation_cells(rc: RunConfig, grid: dict | None = None) -> list[tuple[str, RunConfig]]:
+    """(name, validated config) of every cell of the grid's cross product; a grid that
+    is no object of list-valued axes, an axis that is no RunConfig field, or any cell
+    no run could use raises ValueError."""
     if grid is not None and not isinstance(grid, dict):
         raise ValueError(f"an ablation grid maps axis names to value lists, got {grid!r}")
     grid = dict(grid or DEFAULT_GRID)
@@ -428,8 +430,15 @@ def ablation_cells(rc: RunConfig, grid: dict | None = None) -> list[tuple[tuple,
     combos = [{}]
     for axis in sorted(grid):
         combos = [{**c, axis: v} for c in combos for v in grid[axis]]
-    jobs = [(asdict(rc), combo, seed) for combo in combos for seed in seeds]
-    return [(job, _cell_config(*job)) for job in jobs]
+    cells = []
+    for combo in combos:
+        name = ",".join(f"{k.removeprefix('inner_')}={v}" for k, v in combo.items())
+        for seed in seeds:
+            cell = RunConfig.from_dict({**asdict(rc), **combo, "seed": seed})
+            cell.out_dir = os.path.join(cell.out_dir, "cells",
+                                        name.replace("=", "_") + f"_s{seed}")
+            cells.append((f"{name},seed={seed}", cell))
+    return cells
 
 
 def _run_jobs(fn: Callable, jobs: list, threads: int) -> list:
@@ -445,16 +454,10 @@ def cmd_ablate(rc: RunConfig, grid: dict | None = None) -> dict:
     before the first one runs, and cells that share a synthetic CIFAR set share one
     copy under the grid's out_dir."""
     # each distinct synthetic CIFAR set is written once, before any cell runs
-    jobs = [(*job, _synthetic_cifar(rc.out_dir, cell)) for job, cell in ablation_cells(rc, grid)]
+    jobs = [(name, cell, _synthetic_cifar(rc.out_dir, cell))
+            for name, cell in ablation_cells(rc, grid)]
     rows = _run_jobs(ablate_cell, jobs, rc.threads)
-    os.makedirs(rc.out_dir, exist_ok=True)
-    csv_path = os.path.join(rc.out_dir, "ablate.csv")
-    with open(csv_path, "w", newline="") as fp:
-        writer = csv.DictWriter(fp, fieldnames=ABLATE_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    manifest = _write_manifest(rc, [csv_path], "ok", extra={"cells": len(rows)})
-    return {"csv": csv_path, "rows": rows, "manifest": manifest}
+    return _write_table(rc, "ablate.csv", ABLATE_CSV_COLUMNS, rows, {"cells": len(rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +485,6 @@ def bench_layer_once(kind: str, n: int, dim: int, heads: int,
 
 def cmd_bench(rc: RunConfig, lengths=(256, 512, 1024, 2048, 4096, 8192),
               reps: int = 9, warmup: int = 3) -> dict:
-    os.makedirs(rc.out_dir, exist_ok=True)
     rows = []
     inner = rc.inner_config()
     for kind in ("ttt", "softmax"):
@@ -505,13 +507,7 @@ def cmd_bench(rc: RunConfig, lengths=(256, 512, 1024, 2048, 4096, 8192),
                          "mean_ms": round(float(np.mean(times)), 3),
                          "p50_ms": round(float(np.median(times)), 3),
                          "peak_bytes": peak, "flops": fl.total})
-    csv_path = os.path.join(rc.out_dir, "bench.csv")
-    with open(csv_path, "w", newline="") as fp:
-        writer = csv.DictWriter(fp, fieldnames=BENCH_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    manifest = _write_manifest(rc, [csv_path], "ok")
-    return {"csv": csv_path, "rows": rows, "manifest": manifest}
+    return _write_table(rc, "bench.csv", BENCH_CSV_COLUMNS, rows)
 
 
 def loglog_slope(ns, ts) -> float:
@@ -616,7 +612,7 @@ def mixed_derivative_fd(kind: str, vhat: np.ndarray, v: np.ndarray) -> np.ndarra
     return out
 
 
-def cmd_lossreport(seed: int = 0, tol: float = 1e-5) -> dict:
+def cmd_lossreport(seed: int = 0, tol: float = 1e-6) -> dict:
     rng = np.random.default_rng(seed)
     rows, failures = [], []
     for kind, loss in INNER_LOSSES.items():

@@ -333,11 +333,18 @@ def save_checkpoint(dirpath: str, params: dict[str, np.ndarray], meta: dict | No
 
 
 def load_checkpoint(dirpath: str) -> dict[str, np.ndarray]:
+    """The saved parameters; an index that is no mapping of names to non-negative integer
+    offsets, or a record that is cut, raises ValueError."""
     with open(os.path.join(dirpath, "checkpoint.json")) as fp:
         doc = json.load(fp)
+    index = doc.get("index") if isinstance(doc, dict) else None
+    if not isinstance(index, dict) or not all(
+            type(offset) is int and offset >= 0 for offset in index.values()):
+        raise ValueError(f"{dirpath}: checkpoint.json holds no index of names to "
+                         "non-negative integer offsets")
     out = {}
     with open(os.path.join(dirpath, "checkpoint.bin"), "rb") as fp:
-        for name, offset in doc["index"].items():
+        for name, offset in index.items():
             fp.seek(offset)
             out[name] = T.read_tensor(fp)
     return out

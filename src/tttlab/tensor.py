@@ -14,6 +14,8 @@ batched. Depthwise 3x3 kernels are [3, 3, C] (shared) or [b, 3, 3, C]
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -294,6 +296,8 @@ def _read_exact(fp, n: int) -> bytes:
 
 
 def read_tensor(fp) -> np.ndarray:
+    """The record at fp's position; a record that is cut, or whose extents declare more
+    bytes than the file holds after them, raises ValueError before its data is read."""
     magic = _read_exact(fp, 4)
     if magic != _MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}")
@@ -302,6 +306,10 @@ def read_tensor(fp) -> np.ndarray:
         raise ValueError(f"unknown dtype code {code}")
     shape = struct.unpack(f"<{rank}I", _read_exact(fp, 4 * rank))
     dtype = _DTYPES[code]
-    n = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(fp, n * dtype.itemsize), dtype=dtype)
+    size = math.prod(shape) * dtype.itemsize
+    at = fp.tell()
+    if size > fp.seek(0, os.SEEK_END) - at:
+        raise ValueError("truncated tensor record")
+    fp.seek(at)
+    data = np.frombuffer(_read_exact(fp, size), dtype=dtype)
     return data.reshape(shape).astype(dtype.newbyteorder("="))

@@ -403,6 +403,25 @@ class TestCmdAblate:
                                              f"got {re.escape(repr(grid))}$"):
             H.ablation_cells(rc, grid)
 
+    def test_each_cell_validated_once(self, tmp_path, monkeypatch):
+        # the worker runs the config that ablation_cells validated
+        rc = small_recall_rc(str(tmp_path), epochs=1, train_size=64, val_size=32, threads=1)
+        validate, checked, ran = RunConfig.validate, [], []
+
+        def counting(self):
+            checked.append(self.inner_lr)
+            return validate(self)
+        monkeypatch.setattr(RunConfig, "validate", counting)
+        ablate_cell = H.ablate_cell
+        monkeypatch.setattr(H, "ablate_cell", lambda job: ran.append(job) or ablate_cell(job))
+        grid = {"inner_lr": [0.5, 1.0], "seeds": [0]}
+        cells = H.ablation_cells(rc, grid)
+        assert checked == [0.5, 1.0]
+        report = cmd_ablate(rc, grid)
+        assert checked == [0.5, 1.0] * 2
+        assert [job[:2] for job in ran] == cells
+        assert [row["config"] for row in report["rows"]] == ["lr=0.5,seed=0", "lr=1.0,seed=0"]
+
     def test_invalid_cell_refused_before_any_cell(self, tmp_path):
         rc = small_recall_rc(str(tmp_path), epochs=1, train_size=64, val_size=32)
         with pytest.raises(ValueError, match="inner_parts 10 exceeds"):
@@ -431,6 +450,20 @@ class TestCmdBench:
                 expect = 8 * n * 32 * 32 + 2 * (4 * n * n * 16 + 4 * n * n)
             assert row["flops"] == expect
             assert row["p50_ms"] > 0 and row["peak_bytes"] > 0
+
+    def test_failed_write_keeps_previous_table(self, tmp_path, monkeypatch):
+        # the table is replaced whole or not at all
+        rc = RunConfig(command="bench", out_dir=str(tmp_path), dim=8, heads=2)
+        csv_path = cmd_bench(rc, lengths=(16,), reps=1, warmup=0)["csv"]
+        before = read_bytes(csv_path)
+
+        def failing(self, rows):
+            raise OSError("disk full")
+        monkeypatch.setattr(csv.DictWriter, "writerows", failing)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_bench(rc, lengths=(16, 32), reps=1, warmup=0)
+        assert read_bytes(csv_path) == before
+        assert sorted(os.listdir(tmp_path)) == ["bench.csv", "manifest.json"]
 
     def test_loglog_slope_helper(self):
         ns = [256, 512, 1024]
@@ -469,9 +502,18 @@ class TestCmdGradcheck:
 class TestCmdLossreport:
     def test_all_losses_match(self, capsys):
         report = cmd_lossreport(seed=1)
-        assert not report["failures"]
+        assert not report["failures"] and report["tol"] == 1e-6
         out = capsys.readouterr().out
         assert "mse" in out and "OK" in out
+
+    def test_wrong_closed_form_is_a_mismatch(self, monkeypatch, capsys):
+        mixed = inner_mod.INNER_LOSSES["mse"].mixed
+        monkeypatch.setattr(inner_mod.INNER_LOSSES["mse"], "mixed",
+                            lambda vhat, v: -mixed(vhat, v))
+        report = cmd_lossreport(seed=1)
+        assert report["failures"] == ["mse"]
+        assert [r["ok"] for r in report["rows"]].count(False) == 1
+        assert "MISMATCH" in capsys.readouterr().out
 
 
 class TestCli:
@@ -484,15 +526,18 @@ class TestCli:
         assert (tmp_path / "r" / "train.csv").exists()
         assert (tmp_path / "r" / "manifest.json").exists()
 
-    def test_lossreport_exit(self):
+    def test_lossreport_exit(self, capsys):
+        # the command checks at criterion 3's bar, and says so
         from tttlab.cli import main
         assert main(["lossreport"]) == 0
+        assert "all 5 losses matched at tol 1e-06" in capsys.readouterr().out
 
-    def test_lossreport_mismatch_exits_1(self, capsys):
-        from tttlab.cli import main
-        # the smallest positive tolerance: --tol 0, which no check can pass, is refused
-        assert main(["lossreport", "--tol", "5e-324"]) == 1
-        assert "mismatches" in capsys.readouterr().out
+    def test_lossreport_mismatch_exits_1(self, monkeypatch, capsys):
+        import tttlab.cli as cli
+        monkeypatch.setattr(cli, "cmd_lossreport",
+                            lambda seed: {"rows": [], "failures": ["mse"], "tol": 1e-6})
+        assert cli.main(["lossreport"]) == 1
+        assert "mismatches at tol 1e-06: ['mse']" in capsys.readouterr().out
 
     def test_ablate_grid_file(self, tmp_path):
         from tttlab.cli import main
@@ -508,9 +553,9 @@ class TestCli:
         import tttlab.cli as cli
         cell = {"arch": "fc", "loss": "mse", "max_rel_err": 1.0}
         monkeypatch.setattr(cli, "cmd_gradcheck",
-                            lambda rc, tol: {"cells": [cell], "failures": [cell]})
+                            lambda rc: {"cells": [cell], "failures": [cell], "tol": 1e-4})
         assert cli.main(["gradcheck", "--threads", "1"]) == 1
-        assert "1 cells FAILED" in capsys.readouterr().out
+        assert "1 cells FAILED at tol 0.0001" in capsys.readouterr().out
 
     def test_config_file_round_trip(self, tmp_path):
         from tttlab.cli import main
@@ -531,9 +576,9 @@ class TestCli:
         import tttlab.cli as cli
         seen = []
 
-        def fake_gradcheck(rc, tol):
+        def fake_gradcheck(rc):
             seen.append(rc.threads)
-            return {"cells": [], "failures": []}
+            return {"cells": [], "failures": [], "tol": 1e-4}
         monkeypatch.setattr(cli, "cmd_gradcheck", fake_gradcheck)
         argv = ["gradcheck", *flag]
         if doc is not None:
@@ -629,18 +674,37 @@ class TestCli:
         assert f"argument {flag}: {value!r} is not" in err and "Traceback" not in err
         assert not (tmp_path / "b").exists()
 
-    @pytest.mark.parametrize("command", ["lossreport", "gradcheck"])
-    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
-    def test_bad_tolerance_is_a_usage_error(self, capsys, tmp_path, command, value):
-        # nan and -1 failed every check and inf passed every one; abc got
-        # argparse's message for the type function, not this one
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--threads", "2"), ("bench", "--threads", "2"),
+        ("gradcheck", "--seed", "1"), ("gradcheck", "--out", "c"),
+        ("lossreport", "--out", "c"), ("lossreport", "--threads", "2")])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, tmp_path,
+                                                             monkeypatch, command, flag,
+                                                             value):
+        # a subcommand takes only the settings it reads
         from tttlab.cli import main
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main([command, "--out", str(tmp_path / "c"), "--tol", value])
+            main([command, flag, value])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert f"argument --tol: {value!r} is not a positive finite number" in err
-        assert not (tmp_path / "c").exists()
+        assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["lossreport", "gradcheck"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tmp_path, monkeypatch, command,
+                                            value):
+        # no flag moves a check's bar (a bar of nan or -1 fails every check and inf
+        # passes every one), so --tol is refused whatever its value
+        from tttlab.cli import main
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tol", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --tol {value}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bench_cli(self, tmp_path):
         from tttlab.cli import main

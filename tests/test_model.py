@@ -367,6 +367,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated tensor record"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("doc", [{}, [1], {"index": [0]}, {"index": {"a": -5}},
+                                     {"index": {"a": "x"}}, {"index": {"a": 1.5}},
+                                     {"index": {"a": True}}, {"index": {"a": None}}])
+    def test_index_that_is_no_name_to_offset_map_refused(self, tmp_path, doc):
+        import json
+        path = tmp_path / "ck"
+        save_checkpoint(str(path), {"a": np.ones(3, np.float32)})
+        (path / "checkpoint.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="checkpoint.json holds no index of names to "
+                                             "non-negative integer offsets"):
+            load_checkpoint(str(path))
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck")
         model = Model(ModelConfig(depth=1), np.random.default_rng(8))

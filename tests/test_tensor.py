@@ -231,6 +231,30 @@ class TestSerialization:
             with pytest.raises(ValueError, match="^truncated tensor record$"):
                 T.read_tensor(io.BytesIO(record[:cut]))
 
+    @pytest.mark.parametrize("shape", [(2 ** 31, 2 ** 31), (2 ** 32 - 1,) * 3])
+    def test_huge_extents_in_a_file_are_truncated(self, tmp_path, shape):
+        # extents whose byte count overflows an index, or an int64 product, read as
+        # a record cut short of its data
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"TTT1" + struct.pack(f"<BB{len(shape)}I", 0, len(shape), *shape)
+                         + b"\x00" * 16)
+        with open(path, "rb") as fp, pytest.raises(ValueError,
+                                                   match="^truncated tensor record$"):
+            T.read_tensor(fp)
+
+    def test_record_longer_than_the_file_is_refused_before_reading(self):
+        # a record declaring 4000 data bytes with 8 left asks for no more than is there
+        record = b"TTT1" + struct.pack("<BBI", 0, 1, 1000) + b"\x00" * 8
+        asked = []
+
+        class Recording(io.BytesIO):
+            def read(self, n=-1):
+                asked.append(n)
+                return super().read(n)
+        with pytest.raises(ValueError, match="^truncated tensor record$"):
+            T.read_tensor(Recording(record))
+        assert max(asked) <= len(record)
+
     def test_unknown_dtype_code(self):
         record = b"TTT1" + struct.pack("<BBI", 7, 1, 2) + b"\x00" * 8
         with pytest.raises(ValueError, match="unknown dtype code 7"):
