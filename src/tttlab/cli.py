@@ -71,11 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_at_least(1), default=9)
     p.add_argument("--warmup", type=_at_least(0), default=3)
 
+    # gradcheck and lossreport read one setting each, so they take no --config
     p = sub.add_parser("gradcheck", help="finite-difference check of the full matrix")
-    _add_common(p, "--threads")
+    p.add_argument("--threads", type=_at_least(1), default=min(8, os.cpu_count() or 1))
 
     p = sub.add_parser("lossreport", help="mixed second derivatives vs finite differences")
-    _add_common(p, "--seed")
+    p.add_argument("--seed", type=_at_least(0), default=0)
     return parser
 
 
@@ -86,8 +87,6 @@ def _runconfig(args) -> RunConfig:
             doc = json.load(fp)
         if not isinstance(doc, dict):
             raise ValueError(f"--config {args.config} holds no JSON object of RunConfig fields")
-    if args.command == "gradcheck":
-        doc.setdefault("threads", min(8, os.cpu_count() or 1))
     # every parsed argument named after a RunConfig field overrides the file, `command`
     # too, before the merged fields are validated
     doc.update({name: value for name, value in vars(args).items()
@@ -109,6 +108,20 @@ def _ablation_grid(arg: str | None) -> dict | None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "gradcheck":
+        report = cmd_gradcheck(RunConfig(command="gradcheck", threads=args.threads))
+        if report["failures"]:
+            print(f"{len(report['failures'])} cells FAILED at tol {report['tol']}")
+            return 1
+        print(f"all {len(report['cells'])} cells passed at tol {report['tol']}")
+        return 0
+    if args.command == "lossreport":
+        report = cmd_lossreport(seed=args.seed)
+        if report["failures"]:
+            print(f"mismatches at tol {report['tol']}: {report['failures']}")
+            return 1
+        print(f"all {len(report['rows'])} losses matched at tol {report['tol']}")
+        return 0
     try:
         rc = _runconfig(args)
     except ValueError as e:
@@ -127,22 +140,8 @@ def main(argv=None) -> int:
         report = cmd_ablate(rc, grid)
         print(f"wrote {len(report['rows'])} cells to {report['csv']}")
         return 0
-    if args.command == "bench":
-        report = cmd_bench(rc, lengths=args.lengths, reps=args.reps, warmup=args.warmup)
-        print(f"wrote {len(report['rows'])} rows to {report['csv']}")
-        return 0
-    if args.command == "gradcheck":
-        report = cmd_gradcheck(rc)
-        if report["failures"]:
-            print(f"{len(report['failures'])} cells FAILED at tol {report['tol']}")
-            return 1
-        print(f"all {len(report['cells'])} cells passed at tol {report['tol']}")
-        return 0
-    report = cmd_lossreport(seed=rc.seed)
-    if report["failures"]:
-        print(f"mismatches at tol {report['tol']}: {report['failures']}")
-        return 1
-    print(f"all {len(report['rows'])} losses matched at tol {report['tol']}")
+    report = cmd_bench(rc, lengths=args.lengths, reps=args.reps, warmup=args.warmup)
+    print(f"wrote {len(report['rows'])} rows to {report['csv']}")
     return 0
 
 

@@ -148,30 +148,39 @@ def synth_recall_task(seed: int, n: int, seq_len: int, d: int,
 
 
 # ---------------------------------------------------------------------------
-# procedurally generated stand-in written in the CIFAR binary format
+# procedurally generated stand-in in the CIFAR binary format
 
 def write_synthetic_cifar(dirpath: str, seed: int = 0, n_train: int = 5000,
                           n_test: int = 1000) -> None:
-    """Generate a 10-class image set in the canonical binary layout.
-
-    Classes are oriented gratings and blob patterns with per-sample color
-    jitter, position shift and pixel noise; learnable but far from trivial.
-    Used when no real CIFAR-10 binaries are available. The n_train images are
-    split over the five train batch files, and the last one takes the remainder.
-    """
+    """Write the set of `synthetic_cifar` as the six batch files; the first four train
+    files hold n_train // 5 images each and the fifth the rest."""
     os.makedirs(dirpath, exist_ok=True)
+    for name, raw in zip(CIFAR_FILES, _synthetic_batches(seed, n_train, n_test)):
+        with open(os.path.join(dirpath, name), "wb") as fp:
+            fp.write(raw)
+
+
+def synthetic_cifar(seed: int, n_train: int, n_test: int) -> tuple[Dataset, Dataset]:
+    """A generated 10-class stand-in for CIFAR-10's train and test splits, used when no
+    real binaries are found: oriented gratings and blob patterns with per-sample color
+    jitter, position shift and pixel noise; learnable but far from trivial."""
+    *train, test = _synthetic_batches(seed, n_train, n_test)
+    return _parse_records(b"".join(train), "synthetic"), _parse_records(test, "synthetic")
+
+
+def _synthetic_batches(seed: int, n_train: int, n_test: int):
+    """The records of the six batch files, in CIFAR_FILES order, from one seeded stream."""
     rng = np.random.default_rng(seed)
     counts = [n_train // 5] * 4 + [n_train - 4 * (n_train // 5), n_test]
     yy, xx = np.mgrid[0:CIFAR_SIDE, 0:CIFAR_SIDE].astype(np.float32)
-    for name, count in zip(CIFAR_FILES, counts):
+    for count in counts:
         rec = np.empty((count, _REC), dtype=np.uint8)
         for i in range(count):
             label = int(rng.integers(0, CIFAR_CLASSES))
             img = _synth_image(label, rng, yy, xx)
             rec[i, 0] = label
             rec[i, 1:] = img.transpose(2, 0, 1).reshape(-1)
-        with open(os.path.join(dirpath, name), "wb") as fp:
-            fp.write(rec.tobytes())
+        yield rec.tobytes()
 
 
 def _synth_image(label: int, rng: np.random.Generator, yy, xx) -> np.ndarray:

@@ -127,6 +127,8 @@ class RunConfig:
         for name in POSITIVE_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"RunConfig.{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"RunConfig.seed must be at least 0, got {self.seed}")
         if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} is not divisible by heads {self.heads}")
         unknown = [a for a in self.head_archs if a not in ARCH_NAMES]
@@ -252,18 +254,6 @@ class Task:
     meta: dict                                       # checkpoint meta
 
 
-def _synthetic_cifar(root: str, rc: RunConfig) -> str | None:
-    """The synthetic CIFAR set rc trains on, under root, named by its seed and sizes and
-    written only if it is not there yet; None for recall or if real CIFAR-10 is found."""
-    if rc.task != "cifar" or D.find_cifar10(rc.data_path or None) is not None:
-        return None
-    n_train, n_test = max(rc.train_size, 5000), max(rc.val_size, 1000)
-    path = os.path.join(root, f"synthetic-cifar-bin-s{rc.seed}-{n_train}-{n_test}")
-    if D.missing_cifar10(path):
-        D.write_synthetic_cifar(path, seed=rc.seed, n_train=n_train, n_test=n_test)
-    return path
-
-
 def _setup(rc: RunConfig) -> Task:
     """The task's seeded model, training inputs, validation split and checkpoint meta."""
     if rc.task == "recall":
@@ -273,10 +263,13 @@ def _setup(rc: RunConfig) -> Task:
         model = RecallModel(rc, data.n_classes, np.random.default_rng(rc.seed + 1))
         return Task(model, data.labels[:n], lambda idx, epoch: data.tokens[idx],
                     data.tokens[n:], data.labels[n:], {"task": "recall"})
-    synthetic = _synthetic_cifar(rc.out_dir, rc)
-    path = synthetic or D.find_cifar10(rc.data_path or None)
-    train = D.load_cifar10(path, "train")
-    test = D.load_cifar10(path, "test")
+    path = D.find_cifar10(rc.data_path or None)
+    if path:
+        train, test = D.load_cifar10(path, "train"), D.load_cifar10(path, "test")
+    else:
+        # sized so that a seed's validation images do not depend on train_size
+        train, test = D.synthetic_cifar(rc.seed, max(rc.train_size, 5000),
+                                        max(rc.val_size, 1000))
 
     def normalize(x):
         return ((x - D.CIFAR_MEAN) / D.CIFAR_STD).astype(np.float32)
@@ -287,7 +280,7 @@ def _setup(rc: RunConfig) -> Task:
 
     return Task(Model(rc.model_config(), np.random.default_rng(rc.seed)),
                 train.labels[:rc.train_size], batch, normalize(test.images[:rc.val_size]),
-                test.labels[:rc.val_size], {"task": "cifar", "synthetic": synthetic is not None})
+                test.labels[:rc.val_size], {"task": "cifar", "synthetic": path is None})
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +371,8 @@ DEFAULT_GRID = {
 
 def ablate_cell(args: tuple) -> dict:
     """One grid cell: a desk-scale train of the configured task, then its trained model's
-    layer FLOPs and forward throughput. The job is the cell's name, its validated config
-    and the grid's synthetic CIFAR set for it, or None; the cell links that set where
-    its training looks."""
-    name, rc, synthetic = args
-    if synthetic:
-        link = os.path.join(rc.out_dir, os.path.basename(synthetic))
-        if not os.path.lexists(link):
-            os.makedirs(rc.out_dir, exist_ok=True)
-            os.symlink(os.path.relpath(synthetic, rc.out_dir), link)
+    layer FLOPs and forward throughput. The job is the cell's name and validated config."""
+    name, rc = args
     task, report = _train(rc)
     model = task.model
     layer_fl = ttt_layer_flops(model.tokens, rc.dim, rc.heads, model.head_archs,
@@ -418,8 +404,8 @@ def _cell_throughput(model: M.Classifier, x: np.ndarray) -> float | None:
 
 def ablation_cells(rc: RunConfig, grid: dict | None = None) -> list[tuple[str, RunConfig]]:
     """(name, validated config) of every cell of the grid's cross product; a grid that
-    is no object of list-valued axes, an axis that is no RunConfig field, or any cell
-    no run could use raises ValueError."""
+    is no object of non-empty list-valued axes, an axis that is no RunConfig field, or
+    any cell no run could use raises ValueError."""
     if grid is not None and not isinstance(grid, dict):
         raise ValueError(f"an ablation grid maps axis names to value lists, got {grid!r}")
     grid = dict(grid or DEFAULT_GRID)
@@ -427,6 +413,8 @@ def ablation_cells(rc: RunConfig, grid: dict | None = None) -> list[tuple[str, R
     for axis, values in (*grid.items(), ("seeds", seeds)):
         if not isinstance(values, list):
             raise ValueError(f"ablation axis {axis!r} must be a list of values, got {values!r}")
+        if not values:
+            raise ValueError(f"ablation axis {axis!r} has no values")
     combos = [{}]
     for axis in sorted(grid):
         combos = [{**c, axis: v} for c in combos for v in grid[axis]]
@@ -451,12 +439,8 @@ def _run_jobs(fn: Callable, jobs: list, threads: int) -> list:
 
 def cmd_ablate(rc: RunConfig, grid: dict | None = None) -> dict:
     """Train every cell of the grid's cross product; every cell's config is validated
-    before the first one runs, and cells that share a synthetic CIFAR set share one
-    copy under the grid's out_dir."""
-    # each distinct synthetic CIFAR set is written once, before any cell runs
-    jobs = [(name, cell, _synthetic_cifar(rc.out_dir, cell))
-            for name, cell in ablation_cells(rc, grid)]
-    rows = _run_jobs(ablate_cell, jobs, rc.threads)
+    before the first one runs."""
+    rows = _run_jobs(ablate_cell, ablation_cells(rc, grid), rc.threads)
     return _write_table(rc, "ablate.csv", ABLATE_CSV_COLUMNS, rows, {"cells": len(rows)})
 
 

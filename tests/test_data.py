@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tttlab.data import (FormatError, augment, find_cifar10, load_cifar10, synth_recall_task,
-                         write_synthetic_cifar)
+                         synthetic_cifar, write_synthetic_cifar)
 
 # the six files of CIFAR-10's binary layout
 CIFAR_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
@@ -87,6 +87,16 @@ class TestCifarLoader:
         sizes = [len(load_cifar10(str(tmp_path / f"data_batch_{i}.bin"))) for i in range(1, 6)]
         assert sizes == [n_train // 5] * 4 + [n_train - 4 * (n_train // 5)]
         assert len(load_cifar10(str(tmp_path), "train")) == n_train
+
+    @pytest.mark.parametrize("n_train, n_test", [(40, 20), (43, 7)])
+    def test_in_memory_synthetic_set_is_the_written_one(self, tmp_path, n_train, n_test):
+        # the splits a run builds in memory equal the written set read back, bit for bit
+        write_synthetic_cifar(str(tmp_path), seed=2, n_train=n_train, n_test=n_test)
+        for built, split in zip(synthetic_cifar(2, n_train, n_test), ("train", "test")):
+            loaded = load_cifar10(str(tmp_path), split)
+            assert np.array_equal(built.images, loaded.images)
+            assert np.array_equal(built.labels, loaded.labels)
+            assert built.images.dtype == loaded.images.dtype
 
     def test_missing_batch_file(self, tmp_path):
         with pytest.raises(FormatError):

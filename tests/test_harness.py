@@ -126,6 +126,7 @@ class TestRunConfig:
         ({"heads": 2, "head_archs": ["gated_fc", "dwconv3x3"]},
          r"head_archs \['dwconv3x3'\] need an image grid"),
         ({"task": "cifar", "mlp_ratio": 0.01}, "mlp_ratio 0.01 gives an MLP hidden width of 0"),
+        ({"seed": -1}, r"^RunConfig.seed must be at least 0, got -1$"),
     ])
     def test_config_no_run_could_use_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
@@ -183,7 +184,7 @@ def tiny_run_docs(draw):
     }
     unusable = {"heads": 3, "patch_size": 5, "inner_parts": 99, "recall_seq": 40,
                 "mlp_ratio": 0.05, "head_archs": ["dwconv3x3"] * heads,
-                "data_path": "no-cifar-here"}
+                "data_path": "no-cifar-here", "seed": -1}
     for name in {draw(st.sampled_from([None, *unusable])) for _ in range(2)} - {None}:
         doc[name] = unusable[name]
     return doc
@@ -312,6 +313,40 @@ class TestCmdTrain:
         assert len(report["rows"]) == 5 and report["final_acc"] > 0.01
         assert len(read_csv(report["csv"])) == 1 + 5
 
+    def test_synthetic_cifar_run_leaves_only_its_outputs(self, tmp_path, monkeypatch):
+        # with no real CIFAR-10 the stand-in is built in memory, not written to out_dir
+        monkeypatch.delenv("TTTLAB_CIFAR10", raising=False)
+        monkeypatch.chdir(tmp_path)
+        rc = RunConfig(task="cifar", seed=3, out_dir=str(tmp_path / "run"), epochs=1,
+                       train_size=16, val_size=8, batch_size=8, patch_size=8, dim=16,
+                       heads=2, depth=1, warmup_epochs=0)
+        report = cmd_train(rc)
+        assert report["synthetic_data"] is True
+        assert sorted(os.listdir(tmp_path)) == ["run"]
+        assert sorted(os.listdir(tmp_path / "run")) == ["checkpoint", "manifest.json",
+                                                         "train.csv"]
+
+    def test_cut_synthetic_set_in_out_dir_is_not_read(self, tmp_path, monkeypatch):
+        # a set an interrupted run left with 400 of its 1000 test records is ignored:
+        # the run validates on all val_size images of the in-memory set
+        monkeypatch.delenv("TTTLAB_CIFAR10", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cut = tmp_path / "run" / "synthetic-cifar-bin-s0-5000-1000"
+        D.write_synthetic_cifar(str(cut), seed=0, n_train=5000, n_test=1000)
+        os.truncate(cut / "test_batch.bin", 400 * 3073)
+        accuracy, validated = H._accuracy, []
+
+        def counting(model, x, y, batch_size):
+            validated.append(len(y))
+            return accuracy(model, x, y, batch_size)
+        monkeypatch.setattr(H, "_accuracy", counting)
+        rc = RunConfig(task="cifar", seed=0, out_dir=str(tmp_path / "run"), epochs=1,
+                       train_size=16, val_size=1000, batch_size=250, patch_size=16, dim=8,
+                       heads=1, depth=1, warmup_epochs=0)
+        report = cmd_train(rc)
+        assert validated == [1000] and report["synthetic_data"] is True
+        assert os.path.getsize(cut / "test_batch.bin") == 400 * 3073
+
     def test_failed_manifest_write_keeps_previous(self, tmp_path, monkeypatch):
         rc = small_recall_rc(str(tmp_path))
         path = H._write_manifest(rc, ["a.csv"], "ok")
@@ -375,16 +410,18 @@ class TestCmdAblate:
         row = cmd_ablate(rc, {"inner_lr": [1.0], "seeds": [0]})["rows"][0]
         assert row["status"] == "" and row["throughput"] > 0
 
-    def test_cifar_grid_writes_one_synthetic_set(self, tmp_path, monkeypatch):
-        # no real CIFAR-10 anywhere: every cell trains on the synthetic fallback
+    def test_cifar_grid_writes_no_cifar_file(self, tmp_path, monkeypatch):
+        # no real CIFAR-10 anywhere: every cell trains on the synthetic fallback, built in
+        # memory, so the grid leaves no CIFAR file and no link behind
         monkeypatch.delenv("TTTLAB_CIFAR10", raising=False)
         monkeypatch.chdir(tmp_path)
         rc = RunConfig(task="cifar", seed=0, out_dir=str(tmp_path / "grid"), epochs=1,
                        train_size=32, val_size=16, batch_size=16, patch_size=8, dim=16,
                        heads=2, depth=1, warmup_epochs=0)
         cmd_ablate(rc, {"inner_lr": [0.5, 1.0], "seeds": [0]})
-        sets = [root for root, _, files in os.walk(tmp_path) if "data_batch_1.bin" in files]
-        assert len(sets) == 1
+        for root, dirs, files in os.walk(tmp_path):
+            assert not set(files) & set(D.CIFAR_FILES), root
+            assert not any(os.path.islink(os.path.join(root, n)) for n in dirs + files), root
         cells = list((tmp_path / "grid" / "cells").iterdir())
         assert len(cells) == 2
         for cell in cells:
@@ -566,13 +603,12 @@ class TestCli:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "from_cfg" / "train.csv").exists()
 
-    @pytest.mark.parametrize("flag, doc, threads", [
-        ([], None, min(8, os.cpu_count() or 1)),
-        ([], {"threads": 3}, 3),
-        (["--threads", "2"], {"threads": 3}, 2),
+    @pytest.mark.parametrize("flag, threads", [
+        ([], min(8, os.cpu_count() or 1)),
+        (["--threads", "2"], 2),
     ])
-    def test_gradcheck_threads_default(self, tmp_path, monkeypatch, flag, doc, threads):
-        # the cpu-count default applies only when neither the flag nor the file sets threads
+    def test_gradcheck_threads_default(self, monkeypatch, flag, threads):
+        # the cpu-count default applies only when the flag does not set threads
         import tttlab.cli as cli
         seen = []
 
@@ -580,11 +616,24 @@ class TestCli:
             seen.append(rc.threads)
             return {"cells": [], "failures": [], "tol": 1e-4}
         monkeypatch.setattr(cli, "cmd_gradcheck", fake_gradcheck)
-        argv = ["gradcheck", *flag]
-        if doc is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(doc))
-            argv += ["--config", str(tmp_path / "cfg.json")]
-        assert cli.main(argv) == 0 and seen == [threads]
+        assert cli.main(["gradcheck", *flag]) == 0 and seen == [threads]
+
+    def test_ablate_without_grid_runs_the_default_grid(self, monkeypatch, capsys):
+        # `ablate` with no --grid passes grid=None, and the 54 default cells are all
+        # validated before cmd_ablate runs
+        import tttlab.cli as cli
+        validate, checked, grids = RunConfig.validate, [], []
+
+        def counting(self):
+            checked.append((self.inner_loss, self.inner_lr, self.inner_epochs, self.seed))
+            return validate(self)
+        monkeypatch.setattr(RunConfig, "validate", counting)
+        monkeypatch.setattr(cli, "cmd_ablate",
+                            lambda rc, grid: grids.append(grid) or {"rows": [], "csv": "x"})
+        assert cli.main(["ablate", "--out", "d"]) == 0
+        assert grids == [None]
+        assert len(checked) == 1 + 54 and len(set(checked[1:])) == 54
+        assert "wrote 0 cells to x" in capsys.readouterr().out
 
     # each `flag` row is a full command line
     @pytest.mark.parametrize("flag, message", [
@@ -594,6 +643,11 @@ class TestCli:
         (["ablate", "--grid", '{"inner_lr": ["x"]}'], "inner_lr must be float, got 'x'"),
         (["ablate", "--grid", "no-such-grid.json"], "No such file or directory"),
         (["ablate", "--grid", '{"inner_lr": 1}'], "axis 'inner_lr' must be a list"),
+        (["ablate", "--grid", '{"inner_lr": []}'], "ablation axis 'inner_lr' has no values"),
+        (["ablate", "--grid", '{"seeds": []}'], "ablation axis 'seeds' has no values"),
+        (["train", "--seed", "-1"], "RunConfig.seed must be at least 0, got -1"),
+        (["lossreport", "--seed", "-1"], "argument --seed: '-1' is not an integer of at least 0"),
+        (["gradcheck", "--threads", "0"], "argument --threads: '0' is not an integer of at least 1"),
     ])
     def test_bad_flag_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch, flag,
                                              message):
@@ -622,7 +676,7 @@ class TestCli:
         assert main(["train", "--config", str(cfg), *flags,
                      "--out", str(tmp_path / "out")]) == 0
 
-    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("text", ['["seed"]', "3"])
     def test_config_file_not_an_object_is_a_usage_error(self, capsys, tmp_path, command,
                                                         text):
@@ -677,7 +731,8 @@ class TestCli:
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--threads", "2"), ("bench", "--threads", "2"),
         ("gradcheck", "--seed", "1"), ("gradcheck", "--out", "c"),
-        ("lossreport", "--out", "c"), ("lossreport", "--threads", "2")])
+        ("lossreport", "--out", "c"), ("lossreport", "--threads", "2"),
+        ("gradcheck", "--config", "c.json"), ("lossreport", "--config", "c.json")])
     def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, tmp_path,
                                                              monkeypatch, command, flag,
                                                              value):
