@@ -613,6 +613,7 @@ def sqrt_(a: Node) -> Node:
 
 
 def reciprocal(a: Node) -> Node:
+    T._tick(a.value.size)
     out = 1.0 / a.value
 
     def vjp(g):
@@ -622,6 +623,7 @@ def reciprocal(a: Node) -> Node:
 
 
 def clip_min(a: Node, c: float) -> Node:
+    T._tick(a.value.size)
     out = np.maximum(a.value, c)
 
     def vjp(g):
@@ -683,16 +685,15 @@ def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
     return x.tape.push(out, (x, gamma, beta), vjp, "layer_norm")
 
 
-def cross_entropy(logits: Node, labels: np.ndarray, total: int | None = None) -> Node:
+def cross_entropy(logits: Node, labels: np.ndarray, total: int) -> Node:
     """Negative log-likelihood of integer labels under softmax(logits), summed over
-    the rows and divided by `total` (the row count, a mean, when None): a chunk of
-    a batch divides by the batch size, so its rows get the whole batch's cotangents."""
+    the rows and divided by `total`, the batch size: a chunk of a batch divides by
+    the whole batch's size, so its rows get the whole batch's cotangents."""
     lv = logits.value
     shifted = lv - lv.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1))
     n = lv.shape[0]
     nll = logz - shifted[np.arange(n), labels]
-    total = n if total is None else total
     out = np.asarray(nll.sum() / total)
     T._tick(5 * lv.size)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 
 from .harness import (RunConfig, ablation_cells, cmd_ablate, cmd_bench, cmd_gradcheck,
                       cmd_lossreport, cmd_train)
@@ -143,7 +142,3 @@ def main(argv=None) -> int:
     report = cmd_bench(rc, lengths=args.lengths, reps=args.reps, warmup=args.warmup)
     print(f"wrote {len(report['rows'])} rows to {report['csv']}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

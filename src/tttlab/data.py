@@ -1,10 +1,12 @@
 """Dataset ingestion and synthetic tasks.
 
-CIFAR-10 is read from its canonical binary layout: records of exactly 3073
-bytes, one label byte then 3072 pixel bytes (three 32x32 channel planes,
-row-major). The loader is bit-exact: re-serializing a loaded batch reproduces
-the input bytes. The synthetic recall task plants (key, value) pairs in token
-sequences to probe how well a layer compresses K/V context into weights.
+CIFAR-10 is read from a directory of its six batch files in the canonical
+binary layout: records of exactly 3073 bytes, one label byte then 3072 pixel
+bytes (three 32x32 channel planes, row-major). The loader is bit-exact:
+re-serializing a loaded batch reproduces the input bytes. Augmentation is a
+flip and a crop of the image zero-padded by CROP_PAD pixels. The synthetic
+recall task plants (key, value) pairs in token sequences to probe how well a
+layer compresses K/V context into weights.
 """
 
 from __future__ import annotations
@@ -51,11 +53,8 @@ def _parse_records(raw: bytes, source: str) -> Dataset:
 
 
 def load_cifar10(path: str, split: str = "train") -> Dataset:
-    """Load CIFAR-10 binary batches from a directory (`split` picks the five train
-    batches or the test batch), or one .bin file directly."""
-    if os.path.isfile(path):
-        with open(path, "rb") as fp:
-            return _parse_records(fp.read(), path)
+    """Load CIFAR-10 binary batches from a directory: `split` picks the five train
+    batches or the test batch."""
     names = CIFAR_FILES[:5] if split == "train" else CIFAR_FILES[5:]
     chunks = []
     for name in names:
@@ -75,16 +74,17 @@ def crop_shift(image: np.ndarray, pad: int, dy: int, dx: int) -> np.ndarray:
     return np.ascontiguousarray(padded[pad - dy:pad - dy + h, pad - dx:pad - dx + w])
 
 
-def augment(image: np.ndarray, seed, crop_pad: int = 4) -> np.ndarray:
+CROP_PAD = 4
+
+
+def augment(image: np.ndarray, seed) -> np.ndarray:
     """Horizontal flip (p=0.5) and 4-pixel-pad random crop, deterministic per seed."""
     rng = np.random.default_rng(seed)
     out = image
     if rng.random() < 0.5:
         out = out[:, ::-1, :]
-    if crop_pad:
-        dy, dx = rng.integers(-crop_pad, crop_pad + 1, size=2)
-        out = crop_shift(out, crop_pad, int(dy), int(dx))
-    return np.ascontiguousarray(out)
+    dy, dx = rng.integers(-CROP_PAD, CROP_PAD + 1, size=2)
+    return crop_shift(out, CROP_PAD, int(dy), int(dx))
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,6 @@ class RunConfig:
     dim: int = 64
     heads: int = 4
     depth: int = 4
-    mlp_ratio: float = 4.0
     head_archs: list[str] = field(default_factory=list)
     # recall task shape
     recall_seq: int = 17
@@ -96,8 +95,7 @@ class RunConfig:
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(patch_size=self.patch_size, dim=self.dim, heads=self.heads,
-                           depth=self.depth, mlp_ratio=self.mlp_ratio,
-                           inner=self.inner_config(),
+                           depth=self.depth, inner=self.inner_config(),
                            head_archs=tuple(self.head_archs) if self.head_archs else ())
 
     def to_json(self) -> str:
@@ -152,14 +150,13 @@ class RunConfig:
             if grid_heads:
                 raise ValueError(f"head_archs {grid_heads} need an image grid, which a "
                                  "recall sequence does not have")
+            if self.data_path:
+                raise ValueError(f"data_path {self.data_path!r} is read only by the cifar "
+                                 "task; recall builds its data")
             return self
         missing = self.data_path and D.missing_cifar10(self.data_path)
         if missing:
             raise ValueError(f"data_path {self.data_path!r} holds no CIFAR-10 (no {missing})")
-        hidden = int(self.mlp_ratio * self.dim)
-        if hidden < 1:
-            raise ValueError(f"mlp_ratio {self.mlp_ratio} gives an MLP hidden width of "
-                             f"{hidden} at dim {self.dim}")
         return self
 
 
@@ -403,25 +400,29 @@ def _cell_throughput(model: M.Classifier, x: np.ndarray) -> float | None:
 
 
 def ablation_cells(rc: RunConfig, grid: dict | None = None) -> list[tuple[str, RunConfig]]:
-    """(name, validated config) of every cell of the grid's cross product; a grid that
-    is no object of non-empty list-valued axes, an axis that is no RunConfig field, or
-    any cell no run could use raises ValueError."""
+    """(name, validated config) of every cell of the grid's cross product; the `seeds`
+    axis holds offsets from rc.seed ([0] when absent). A grid that is no object of
+    non-empty list-valued axes, an axis that is no RunConfig field, or any cell no
+    run could use raises ValueError."""
     if grid is not None and not isinstance(grid, dict):
         raise ValueError(f"an ablation grid maps axis names to value lists, got {grid!r}")
     grid = dict(grid or DEFAULT_GRID)
-    seeds = grid.pop("seeds", [rc.seed])
-    for axis, values in (*grid.items(), ("seeds", seeds)):
+    offsets = grid.pop("seeds", [0])
+    for axis, values in (*grid.items(), ("seeds", offsets)):
         if not isinstance(values, list):
             raise ValueError(f"ablation axis {axis!r} must be a list of values, got {values!r}")
         if not values:
             raise ValueError(f"ablation axis {axis!r} has no values")
+    bad = [o for o in offsets if not _TYPE_CHECKS["int"](o)]
+    if bad:
+        raise ValueError(f"ablation axis 'seeds' holds integer offsets from seed, got {bad}")
     combos = [{}]
     for axis in sorted(grid):
         combos = [{**c, axis: v} for c in combos for v in grid[axis]]
     cells = []
     for combo in combos:
         name = ",".join(f"{k.removeprefix('inner_')}={v}" for k, v in combo.items())
-        for seed in seeds:
+        for seed in (rc.seed + offset for offset in offsets):
             cell = RunConfig.from_dict({**asdict(rc), **combo, "seed": seed})
             cell.out_dir = os.path.join(cell.out_dir, "cells",
                                         name.replace("=", "_") + f"_s{seed}")

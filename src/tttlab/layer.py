@@ -139,16 +139,17 @@ def attention_mlp_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndar
 
 
 def elu_plus_one(x: np.ndarray) -> np.ndarray:
-    """Default nonnegative kernel map for linear attention."""
+    """The nonnegative kernel map of linear attention."""
     return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def linear_attention(x: np.ndarray, params: TTTLayerParams, phi=elu_plus_one) -> np.ndarray:
-    """Kernel-normalized linear attention in its O(N) accumulated form."""
+def linear_attention(x: np.ndarray, params: TTTLayerParams) -> np.ndarray:
+    """Kernel-normalized linear attention, kernel map `elu_plus_one`, in its O(N)
+    accumulated form."""
     outs = []
     for h in range(params.heads):
-        qf = phi(x @ params.wq[h])
-        kf = phi(x @ params.wk[h])
+        qf = elu_plus_one(x @ params.wq[h])
+        kf = elu_plus_one(x @ params.wk[h])
         v = x @ params.wv[h]
         state = kf.T @ v            # [d, d] accumulator; never an N x N product
         zsum = kf.sum(axis=0)       # [d]

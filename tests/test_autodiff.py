@@ -155,6 +155,18 @@ class TestPerOpGradients:
             T.matmul(x0, w0)
         assert fc.total == ref.total + m * n
 
+    # FLOPs per element of each elementwise tape op's forward
+    @pytest.mark.parametrize("op, args, per_element", [
+        ("silu", (), 4), ("silu_prime", (), 6), ("sigmoid", (), 3), ("sign", (), 1),
+        ("sqrt_", (), 1), ("reciprocal", (), 1), ("clip_min", (0.5,), 1),
+        ("huber_prime", (), 2), ("scale", (2.0,), 1)])
+    def test_elementwise_op_counts_its_flops(self, op, args, per_element):
+        t = Tape()
+        x = t.leaf(np.abs(RNG.standard_normal((4, 8))) + 0.1)
+        with T.count_flops() as fc:
+            getattr(ad, op)(x, *args)
+        assert fc.total == per_element * 32
+
     def test_mul_column_and_matrix_scalar(self):
         # a [.., N, 1] rate column and a [.., 1, 1] per-matrix scalar, as the
         # dynamic inner rate and the RMSE inner loss gradient apply them
@@ -183,7 +195,8 @@ class TestPerOpGradients:
         labels = np.array([0, 3, 2, 1])
 
         def f(p, t):
-            return ad.cross_entropy(t.leaf(p["l"], name="l", param=True), labels)
+            return ad.cross_entropy(t.leaf(p["l"], name="l", param=True), labels,
+                                    total=len(labels))
         assert gradcheck(f, {"l": logits0}) < 1e-8
 
     def test_cross_entropy_of_a_chunk(self):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tttlab.data import (FormatError, augment, find_cifar10, load_cifar10, synth_recall_task,
-                         synthetic_cifar, write_synthetic_cifar)
+from tttlab.data import (CROP_PAD, FormatError, augment, crop_shift, find_cifar10, load_cifar10,
+                         synth_recall_task, synthetic_cifar, write_synthetic_cifar)
 
 # the six files of CIFAR-10's binary layout
 CIFAR_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
@@ -12,6 +12,12 @@ CIFAR_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
 
 def make_record(label, fill):
     return bytes([label]) + bytes([fill]) * 3072
+
+
+def load_test_batch(dirpath, raw):
+    """The records `raw` read back as a directory's test split."""
+    (dirpath / "test_batch.bin").write_bytes(raw)
+    return load_cifar10(str(dirpath), "test")
 
 
 def serialize_cifar10(ds):
@@ -26,15 +32,11 @@ def serialize_cifar10(ds):
 
 class TestCifarLoader:
     def test_record_count(self, tmp_path):
-        path = tmp_path / "batch.bin"
-        path.write_bytes(make_record(0, 10) * 100)
-        ds = load_cifar10(str(path))
+        ds = load_test_batch(tmp_path, make_record(0, 10) * 100)
         assert len(ds) == 100 and ds.images.shape == (100, 32, 32, 3)
 
     def test_constructed_fixture(self, tmp_path):
-        path = tmp_path / "one.bin"
-        path.write_bytes(make_record(3, 255))
-        ds = load_cifar10(str(path))
+        ds = load_test_batch(tmp_path, make_record(3, 255))
         assert ds.labels[0] == 3
         assert np.array_equal(ds.images[0], np.ones((32, 32, 3), dtype=np.float32))
 
@@ -42,9 +44,7 @@ class TestCifarLoader:
         rng = np.random.default_rng(0)
         raw = rng.integers(0, 256, size=5 * 3073, dtype=np.uint8)
         raw[::3073] = rng.integers(0, 10, size=5, dtype=np.uint8)  # label bytes
-        path = tmp_path / "five.bin"
-        path.write_bytes(raw.tobytes())
-        ds = load_cifar10(str(path))
+        ds = load_test_batch(tmp_path, raw.tobytes())
         assert serialize_cifar10(ds) == raw.tobytes()
 
     def test_pixels_are_the_scaled_float32_formula(self, tmp_path):
@@ -52,25 +52,25 @@ class TestCifarLoader:
         rng = np.random.default_rng(1)
         raw = rng.integers(0, 256, size=(256, 3073), dtype=np.uint8)
         raw[:, 0] %= 10
-        path = tmp_path / "many.bin"
-        path.write_bytes(raw.tobytes())
-        ds = load_cifar10(str(path))
+        ds = load_test_batch(tmp_path, raw.tobytes())
         planes = raw[:, 1:].reshape(-1, 3, 32, 32)
         want = planes.transpose(0, 2, 3, 1).astype(np.float32) / 255.0
         assert ds.images.dtype == np.float32 and ds.images.flags.c_contiguous
         assert np.array_equal(ds.images, want)
 
     def test_bad_length(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00" * 3072)
-        with pytest.raises(FormatError):
-            load_cifar10(str(path))
+        with pytest.raises(FormatError, match="length 3072 is not a multiple of 3073"):
+            load_test_batch(tmp_path, b"\x00" * 3072)
 
     def test_bad_label(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(make_record(11, 0))
-        with pytest.raises(FormatError):
-            load_cifar10(str(path))
+        with pytest.raises(FormatError, match="label 11 out of range"):
+            load_test_batch(tmp_path, make_record(11, 0))
+
+    def test_single_batch_file_refused(self, tmp_path):
+        # the loader reads a directory of batch files, never one file
+        (tmp_path / "test_batch.bin").write_bytes(make_record(3, 255))
+        with pytest.raises(FormatError, match="missing CIFAR-10 batch file"):
+            load_cifar10(str(tmp_path / "test_batch.bin"), "test")
 
     def test_directory_split_layout(self, tmp_path):
         write_synthetic_cifar(str(tmp_path), seed=1, n_train=50, n_test=20)
@@ -84,7 +84,8 @@ class TestCifarLoader:
     def test_synthetic_train_size_not_a_multiple_of_five(self, tmp_path, n_train):
         # the first four batch files hold n_train // 5 images, the fifth the rest
         write_synthetic_cifar(str(tmp_path), seed=1, n_train=n_train, n_test=2)
-        sizes = [len(load_cifar10(str(tmp_path / f"data_batch_{i}.bin"))) for i in range(1, 6)]
+        sizes = [(tmp_path / f"data_batch_{i}.bin").stat().st_size // 3073
+                 for i in range(1, 6)]
         assert sizes == [n_train // 5] * 4 + [n_train - 4 * (n_train // 5)]
         assert len(load_cifar10(str(tmp_path), "train")) == n_train
 
@@ -164,11 +165,20 @@ class TestSynthRecall:
 
 
 class TestAugment:
-    def test_flip_twice_is_identity(self):
+    def test_is_a_flip_then_a_crop_shift(self):
+        # by the seed's draws: a horizontal flip with p=0.5, then a shift in
+        # [-CROP_PAD, CROP_PAD] on each axis; the seeds cover both flip outcomes
         img = np.random.default_rng(1).random((32, 32, 3)).astype(np.float32)
-        once = augment(img, seed=(5, 0), crop_pad=0)
-        twice = augment(once, seed=(5, 0), crop_pad=0)
-        assert np.array_equal(twice, img)
+        flips = set()
+        for seed in [(5, i) for i in range(8)]:
+            rng = np.random.default_rng(seed)
+            flip = rng.random() < 0.5
+            dy, dx = rng.integers(-CROP_PAD, CROP_PAD + 1, size=2)
+            want = crop_shift(img[:, ::-1] if flip else img, CROP_PAD, int(dy), int(dx))
+            got = augment(img, seed=seed)
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+            flips.add(flip)
+        assert flips == {False, True}
 
     def test_deterministic_per_seed(self):
         img = np.random.default_rng(2).random((32, 32, 3)).astype(np.float32)
@@ -177,12 +187,10 @@ class TestAugment:
         assert np.array_equal(a, b)
 
     def test_zero_shift_crop_is_identity(self):
-        from tttlab.data import crop_shift
         img = np.random.default_rng(3).random((32, 32, 3)).astype(np.float32)
         assert np.array_equal(crop_shift(img, 4, 0, 0), img)
 
     def test_crop_shifts_content(self):
-        from tttlab.data import crop_shift
         img = np.zeros((8, 8, 1), dtype=np.float32)
         img[0, 0, 0] = 1.0
         out = crop_shift(img, 2, 1, 1)

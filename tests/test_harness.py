@@ -125,8 +125,10 @@ class TestRunConfig:
          r"head_archs \['conv3x3', 'dwconv3x3'\] need an image grid"),
         ({"heads": 2, "head_archs": ["gated_fc", "dwconv3x3"]},
          r"head_archs \['dwconv3x3'\] need an image grid"),
-        ({"task": "cifar", "mlp_ratio": 0.01}, "mlp_ratio 0.01 gives an MLP hidden width of 0"),
+        ({"data_path": "data"}, r"^data_path 'data' is read only by the cifar task"),
         ({"seed": -1}, r"^RunConfig.seed must be at least 0, got -1$"),
+        # the MLP's width ratio (4) is a constant too
+        ({"task": "cifar", "mlp_ratio": 4.0}, r"unknown RunConfig fields: \['mlp_ratio'\]"),
     ])
     def test_config_no_run_could_use_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
@@ -140,7 +142,6 @@ class TestRunConfig:
             with pytest.raises(ValueError, match=f"^data_path {re.escape(repr(path))} "
                                                  "holds no CIFAR-10"):
                 RunConfig.from_dict(doc)
-            RunConfig.from_dict({**doc, "task": "recall"})      # recall reads no data
         RunConfig.from_dict({"task": "cifar", "data_path": tiny_cifar})
 
     def test_cifar_data_path_missing_a_batch_file_rejected(self, tmp_path, tiny_cifar):
@@ -156,8 +157,6 @@ class TestRunConfig:
     def test_task_shape_limits_accepted(self):
         RunConfig.from_json('{"recall_seq": 33, "recall_keys": 32, "inner_parts": 33}')
         RunConfig.from_json('{"task": "cifar", "inner_parts": 64, "recall_seq": 1}')
-        # recall reads no MLP width
-        RunConfig.from_json('{"mlp_ratio": 0.01}')
 
 
 @st.composite
@@ -171,7 +170,6 @@ def tiny_run_docs(draw):
         "heads": heads,
         "depth": 1,
         "patch_size": draw(st.sampled_from([8, 16])),
-        "mlp_ratio": draw(st.sampled_from([2.0, 0.5])),
         "head_archs": draw(st.one_of(st.just([]), st.lists(
             st.sampled_from(inner_mod.ARCH_NAMES), min_size=heads, max_size=heads))),
         "recall_seq": draw(st.sampled_from([3, 9])),
@@ -183,7 +181,7 @@ def tiny_run_docs(draw):
         "epochs": 1, "batch_size": 8, "train_size": 16, "val_size": 8, "warmup_epochs": 1,
     }
     unusable = {"heads": 3, "patch_size": 5, "inner_parts": 99, "recall_seq": 40,
-                "mlp_ratio": 0.05, "head_archs": ["dwconv3x3"] * heads,
+                "head_archs": ["dwconv3x3"] * heads,
                 "data_path": "no-cifar-here", "seed": -1}
     for name in {draw(st.sampled_from([None, *unusable])) for _ in range(2)} - {None}:
         doc[name] = unusable[name]
@@ -459,6 +457,23 @@ class TestCmdAblate:
         assert [job[:2] for job in ran] == cells
         assert [row["config"] for row in report["rows"]] == ["lr=0.5,seed=0", "lr=1.0,seed=0"]
 
+    def test_seeds_are_offsets_from_the_run_seed(self):
+        def seeds(seed, grid=None):
+            return [(name, cell.seed, cell.out_dir) for name, cell in
+                    H.ablation_cells(small_recall_rc("o", seed=seed), grid)]
+        assert {s for _, s, _ in seeds(5)} == {5, 6, 7}
+        assert seeds(5, {"inner_lr": [1.0], "seeds": [0, 2]}) == [
+            ("lr=1.0,seed=5", 5, os.path.join("o", "cells", "lr_1.0_s5")),
+            ("lr=1.0,seed=7", 7, os.path.join("o", "cells", "lr_1.0_s7"))]
+        assert seeds(5, {"inner_lr": [1.0]}) == [
+            ("lr=1.0,seed=5", 5, os.path.join("o", "cells", "lr_1.0_s5"))]
+        # at seed 0 an offset is the seed itself
+        default = seeds(0)
+        assert len(default) == 54 and default[0] == (
+            "epochs=1,loss=dot,lr=0.1,seed=0", 0,
+            os.path.join("o", "cells", "epochs_1,loss_dot,lr_0.1_s0"))
+        assert {s for _, s, _ in default} == {0, 1, 2}
+
     def test_invalid_cell_refused_before_any_cell(self, tmp_path):
         rc = small_recall_rc(str(tmp_path), epochs=1, train_size=64, val_size=32)
         with pytest.raises(ValueError, match="inner_parts 10 exceeds"):
@@ -635,6 +650,15 @@ class TestCli:
         assert len(checked) == 1 + 54 and len(set(checked[1:])) == 54
         assert "wrote 0 cells to x" in capsys.readouterr().out
 
+    def test_ablate_seed_offsets_the_grid_seeds(self, monkeypatch):
+        # `--seed 5` trains the default grid's seeds 5, 6 and 7
+        import tttlab.cli as cli
+        cells = []
+        monkeypatch.setattr(cli, "cmd_ablate", lambda rc, grid: cells.extend(
+            H.ablation_cells(rc, grid)) or {"rows": [], "csv": "x"})
+        assert cli.main(["ablate", "--seed", "5", "--out", "d"]) == 0
+        assert len(cells) == 54 and {cell.seed for _, cell in cells} == {5, 6, 7}
+
     # each `flag` row is a full command line
     @pytest.mark.parametrize("flag, message", [
         (["train", "--inner-lr", "nan"], "inner_lr must be float, got nan"),
@@ -648,6 +672,10 @@ class TestCli:
         (["train", "--seed", "-1"], "RunConfig.seed must be at least 0, got -1"),
         (["lossreport", "--seed", "-1"], "argument --seed: '-1' is not an integer of at least 0"),
         (["gradcheck", "--threads", "0"], "argument --threads: '0' is not an integer of at least 1"),
+        (["train", "--task", "recall", "--data", "cifar-bin"],
+         "data_path 'cifar-bin' is read only by the cifar task"),
+        (["ablate", "--grid", '{"seeds": [0, true]}'],
+         "ablation axis 'seeds' holds integer offsets from seed, got [True]"),
     ])
     def test_bad_flag_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch, flag,
                                              message):

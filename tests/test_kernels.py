@@ -248,14 +248,14 @@ class TestElementwiseKernels:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_cross_entropy_bit_identical(self, n, dtype):
-        # total=None is the mean; a chunk divided by its batch's size gets the
+        # total=n is the mean; a chunk divided by its batch's size gets the
         # batch's cotangent rows, so a chunked training step changes no row
         rng = np.random.default_rng(4)
         lv = randn(rng, (n, 10), dtype) * 3
         labels = rng.integers(0, 10, n)
         g = np.ones((), dtype)
         want, ct = ref_cross_entropy(lv, labels, g)
-        out, node = tape_op(lambda x: ad.cross_entropy(x, labels), lv)
+        out, node = tape_op(lambda x: ad.cross_entropy(x, labels, total=n), lv)
         assert out.dtype == want.dtype and np.array_equal(out, want)
         assert np.array_equal(node.vjp(g)[0], ct)
         k = (n + 1) // 2
@@ -563,8 +563,8 @@ class TestDebugCoverage:
     def test_cross_entropy(self):
         labels = np.array([0, 2, 1, 5])
         with pytest.raises(T.NonFiniteError, match="^cross_entropy produced"):
-            tape_op(lambda x: ad.cross_entropy(x, labels), poisoned((4, 6)))
-        _, node = tape_op(lambda x: ad.cross_entropy(x, labels), np.ones((4, 6)))
+            tape_op(lambda x: ad.cross_entropy(x, labels, total=4), poisoned((4, 6)))
+        _, node = tape_op(lambda x: ad.cross_entropy(x, labels, total=4), np.ones((4, 6)))
         with pytest.raises(T.NonFiniteError, match="^cross_entropy vjp produced"):
             node.vjp(nan_like(node.value))
 

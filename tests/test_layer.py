@@ -85,7 +85,7 @@ class TestLinearAttention:
     def test_single_token_identity_kernel(self):
         p = make_params(heads=1)
         x = np.abs(RNG.standard_normal((1, 16)))
-        out = linear_attention(x, p, phi=lambda z: np.abs(z) + 0.5)
+        out = linear_attention(x, p)
         assert np.allclose(out, (x @ p.wv[0]) @ p.w_o, atol=1e-12)
 
     def test_linear_time_form_equals_quadratic(self):
@@ -115,10 +115,11 @@ class TestLinearAttention:
         assert np.abs(out - out[0]).max() < 1e-12
 
     def test_denominator_guard(self):
+        # queries far below zero: elu_plus_one(q) = exp(q) underflows to 0
         p = make_params(heads=1)
-        x = RNG.standard_normal((4, 16))
+        p.wq[0][...] = -100.0
         with pytest.raises(NormalizationError):
-            linear_attention(x, p, phi=lambda z: np.zeros_like(z))
+            linear_attention(np.ones((4, 16)), p)
 
     def test_kernel_nonnegative(self):
         z = RNG.standard_normal(100) * 5
