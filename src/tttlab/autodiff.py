@@ -147,20 +147,16 @@ class Tape:
         and sends cotangents only to the nodes that depend on a weight. Each
         cotangent is built from this module's ops, so it is a tape expression
         that a later backward differentiates again. A node reached from several
-        consumers sums its cotangents with `add`. The rules: matmul, same-shape
-        mul and add, silu, reshape, and dwconv3x3 over a data grid.
+        consumers sums its cotangents with `add`. The rules, one op each:
+        matmul (`matmul_t`: a^T g for b, g b^T for a, on transposed views),
+        same-shape mul and add, silu (`mul_silu_prime`), reshape, and
+        dwconv3x3 over a data grid (`dwconv3x3_wgrad`).
         """
         dep = set(ws)
         for node, inputs in ops:
             if not dep.isdisjoint(inputs):
                 dep.add(node)
         cot = {out: dv}
-        transposed = {}
-
-        def t(a):                       # one transpose per node, shared by its uses
-            if a not in transposed:
-                transposed[a] = transpose(a)
-            return transposed[a]
 
         def send(a, g):
             cot[a] = g if a not in cot else add(cot[a], g)
@@ -173,15 +169,15 @@ class Tape:
             if op == "matmul":
                 # the weight's cotangent first: it fixes the order of dv's consumers
                 if b in dep:
-                    send(b, matmul(t(a), g))
+                    send(b, matmul_t(a, g, 0))
                 if a in dep:
-                    send(a, matmul(g, t(b)))
+                    send(a, matmul_t(g, b, 1))
             elif op in ("mul", "add") and a.value.shape == b.value.shape:
                 for c, other in ((a, b), (b, a)):
                     if c in dep:
                         send(c, g if op == "add" else mul(g, other))
             elif op == "silu":
-                send(a, mul(g, silu_prime(a)))
+                send(a, mul_silu_prime(g, a))
             elif op == "reshape":
                 # a shared weight's cotangent keeps the per-sample axes matmul gave it
                 lead = g.value.shape[:g.value.ndim - node.value.ndim]
@@ -351,33 +347,67 @@ def scale(a: Node, c: float) -> Node:
     return a.tape.push(out, (a,), vjp, "scale")
 
 
-def _shared_weight_vjp(g: np.ndarray, x: Node, w: Node):
-    """Cotangents of x @ w for a shared 2-D w, each one GEMM over x's folded rows."""
+def sub_scaled(w: Node, g: Node, c: float) -> Node:
+    """w - c g, the fixed-rate inner update, as one op: `sub(w, scale(g, c))` bit
+    for bit, with the same FLOPs and cotangents."""
+    T._shape_compatible(w.value, g.value, "sub_scaled")
+    T._tick(np.size(g.value) + max(np.size(w.value), np.size(g.value)))
+    out = np.subtract(w.value, g.value * c)
+
+    def vjp(ct):
+        return (_unbroadcast(ct, w.value.shape) if w.requires else None,
+                _unbroadcast(-ct, g.value.shape) * c if g.requires else None)
+
+    return w.tape.push(out, (w, g), vjp, "sub_scaled")
+
+
+def _shared_weight_vjp(g: np.ndarray, xv: np.ndarray, wv: np.ndarray, dx: bool, dw: bool):
+    """Cotangents of x @ w for a shared 2-D w, each one GEMM over x's folded rows;
+    dx and dw say which ones are wanted."""
     g2 = T.fold_rows(g)
-    dx = (g2 @ w.value.T).reshape(x.value.shape) if x.requires else None
-    dw = T.fold_rows(x.value).T @ g2 if w.requires else None
-    return dx, dw
+    return ((g2 @ wv.T).reshape(xv.shape) if dx else None,
+            T.fold_rows(xv).T @ g2 if dw else None)
+
+
+def _matmul_vjp(g: np.ndarray, av: np.ndarray, bv: np.ndarray, da: bool, db: bool):
+    """Cotangents of av @ bv: a shared 2-D bv folds av's rows, a stacked one broadcasts."""
+    if bv.ndim == 2:
+        return _shared_weight_vjp(g, av, bv, da, db)
+    return (_unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape) if da else None,
+            _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape) if db else None)
 
 
 def matmul(a: Node, b: Node) -> Node:
     """a @ b; a shared 2-D b folds a's leading axes into one GEMM, a stacked b broadcasts."""
     av, bv = a.value, b.value
     out = T.matmul(av, bv)
+    return a.tape.push(out, (a, b), lambda g: _matmul_vjp(g, av, bv, a.requires, b.requires),
+                       "matmul")
+
+
+def matmul_t(a: Node, b: Node, side: int) -> Node:
+    """a^T @ b (side 0) or a @ b^T (side 1), the transposed operand read through a
+    view with its last two axes swapped: one GEMM and no transposed copy, with
+    matmul's FLOPs. Its vjp is matmul's on the views, the transposed operand's
+    cotangent swapped back."""
+    views = [a.value, b.value]
+    views[side] = np.swapaxes(views[side], -1, -2)
+    av, bv = views
+    out = T.matmul(av, bv)
 
     def vjp(g):
-        if bv.ndim == 2:
-            return _shared_weight_vjp(g, a, b)
-        return (_unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
-                if a.requires else None,
-                _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
-                if b.requires else None)
+        cots = list(_matmul_vjp(g, av, bv, a.requires, b.requires))
+        if cots[side] is not None:
+            # contiguous, so the sums it joins in backward run in one layout
+            cots[side] = np.ascontiguousarray(np.swapaxes(cots[side], -1, -2))
+        return tuple(cots)
 
-    return a.tape.push(out, (a, b), vjp, "matmul")
+    return a.tape.push(out, (a, b), vjp, "matmul_t")
 
 
 def _linear_vjp(g: np.ndarray, x: Node, w: Node, b: Node):
     """Cotangents of x @ w + b for a shared [K, N] weight and [N] bias."""
-    dx, dw = _shared_weight_vjp(g, x, w)
+    dx, dw = _shared_weight_vjp(g, x.value, w.value, x.requires, w.requires)
     db = T.fold_rows(g).sum(axis=0) if b.requires else None
     return dx, dw, db
 
@@ -430,7 +460,8 @@ def add_matmul(r: Node, a: Node, w: Node) -> Node:
     if w.value.ndim != 2:
         raise T.DimensionError(f"add_matmul needs a shared 2-D weight, got {w.value.shape}")
     return _add_residual(r, T.matmul(a.value, w.value), (a, w),
-                         lambda g: _shared_weight_vjp(g, a, w), "add_matmul")
+                         lambda g: _shared_weight_vjp(g, a.value, w.value, a.requires,
+                                                       w.requires), "add_matmul")
 
 
 def add_linear(r: Node, x: Node, w: Node, b: Node) -> Node:
@@ -441,15 +472,6 @@ def add_linear(r: Node, x: Node, w: Node, b: Node) -> Node:
 
 # ---------------------------------------------------------------------------
 # layout
-
-def transpose(a: Node) -> Node:
-    out = T.transpose(a.value)
-
-    def vjp(g):
-        return (np.swapaxes(g, -1, -2),)
-
-    return a.tape.push(out, (a,), vjp, "transpose")
-
 
 def reshape(a: Node, shape) -> Node:
     src = a.value.shape
@@ -565,18 +587,40 @@ def silu(a: Node) -> Node:
     return a.tape.push(out, (a,), vjp, "silu")
 
 
-def silu_prime(a: Node) -> Node:
-    """SiLU'(x) as a forward value; differentiable once more (SiLU'')."""
-    x = a.value
+def mul_silu_prime(g: Node, z: Node) -> Node:
+    """g * SiLU'(z) for same-shape g and z, the walker's silu rule, as one op,
+    with SiLU''(z) in its vjp: the bits, FLOPs (6 + 1 per element) and
+    cotangents of forming SiLU'(z) as a node and then multiplying by g. It
+    keeps its own sigmoid of z and rebuilds SiLU'(z) from it in the vjp, so
+    SiLU' holds no buffer on the tape."""
+    gv, x = g.value, z.value
+    if gv.shape != x.shape:
+        raise T.DimensionError(f"mul_silu_prime: g {gv.shape} and z {x.shape} differ")
     s = T.sigmoid(x)
-    out = s * (1.0 + x * (1.0 - s))
-    T._tick(6 * x.size)
 
-    def vjp(g):
-        # SiLU''(x) = s(1-s) (2 + x(1-2s))
-        return (g * (s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))),)
+    def prime():
+        # SiLU'(x) = s (1 + x (1 - s)), built in one buffer
+        d = 1.0 - s
+        d *= x
+        d += 1.0
+        d *= s
+        return d
 
-    return a.tape.push(out, (a,), vjp, "silu_prime")
+    out = prime()
+    out *= gv
+    T._tick(7 * x.size)
+
+    def vjp(ct):
+        dg = dz = None
+        if g.requires:
+            dg = prime()
+            dg *= ct
+        if z.requires:
+            # SiLU''(x) = s(1-s) (2 + x(1-2s))
+            dz = (ct * gv) * (s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s)))
+        return dg, dz
+
+    return g.tape.push(out, (g, z), vjp, "mul_silu_prime")
 
 
 def sigmoid(a: Node) -> Node:

@@ -55,6 +55,7 @@ def _parse_records(raw: bytes, source: str) -> Dataset:
 def load_cifar10(path: str, split: str = "train") -> Dataset:
     """Load CIFAR-10 binary batches from a directory: `split` picks the five train
     batches or the test batch."""
+    _refuse_non_directory(path)
     names = CIFAR_FILES[:5] if split == "train" else CIFAR_FILES[5:]
     chunks = []
     for name in names:
@@ -213,8 +214,15 @@ def _synth_image(label: int, rng: np.random.Generator, yy, xx) -> np.ndarray:
     return (np.clip(img, 0, 1) * 255).astype(np.uint8)
 
 
+def _refuse_non_directory(path: str) -> None:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise FormatError(f"CIFAR-10 path {path!r} is not a directory")
+
+
 def missing_cifar10(path: str) -> str | None:
-    """The first of the six CIFAR-10 batch files that dir `path` lacks, or None."""
+    """The first of the six CIFAR-10 batch files that dir `path` lacks, or None;
+    FormatError when `path` exists and is no directory."""
+    _refuse_non_directory(path)
     return next((name for name in CIFAR_FILES
                  if not os.path.exists(os.path.join(path, name))), None)
 
@@ -225,6 +233,6 @@ def find_cifar10(preferred: str | None = None) -> str | None:
     candidates = [preferred, os.environ.get("TTTLAB_CIFAR10"),
                   os.path.join("data", "cifar-10-batches-bin")]
     for cand in candidates:
-        if cand and missing_cifar10(cand) is None:
+        if cand and os.path.isdir(cand) and missing_cifar10(cand) is None:
             return cand
     return None

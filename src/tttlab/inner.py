@@ -371,11 +371,11 @@ def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
     """Unrolled inner training on the tape; returns the adapted weight nodes.
 
     `rate` is the per-token learning rate, a [.., N, 1] column (already scaled
-    by eta) that `ad.mul` broadcasts over each token's loss gradient; when
-    None, the fixed rate cfg.lr scales each step instead. Each mini-batch
-    traces the forward once, on the rows its outputs depend on
-    (`arch.context`), and `Tape.weight_grads` walks those traced ops back from
-    the loss gradient on the same rows.
+    by eta) that `ad.mul` broadcasts over each token's loss gradient before
+    `ad.sub`; when None, each weight steps by one `ad.sub_scaled` at the fixed
+    rate cfg.lr. Each mini-batch traces the forward once, on the rows its
+    outputs depend on (`arch.context`), and `Tape.weight_grads` walks those
+    traced ops back from the loss gradient on the same rows.
     """
     n, loss, tape = k.value.shape[-2], INNER_LOSSES[cfg.loss], k.tape
     for epoch in range(cfg.epochs):
@@ -391,8 +391,9 @@ def inner_update_nodes(arch: InnerArch, ws: list[Node], k: Node, v: Node,
                 dv = ad.pad_rows(dv, chi - clo, lo - clo, hi - clo)
             grads = tape.weight_grads(ops, ws, vhat, dv)
             if rate is None:
-                grads = [ad.scale(g, cfg.lr) for g in grads]
-            ws = [ad.sub(w, g) for w, g in zip(ws, grads)]
+                ws = [ad.sub_scaled(w, g, cfg.lr) for w, g in zip(ws, grads)]
+            else:
+                ws = [ad.sub(w, g) for w, g in zip(ws, grads)]
             if not all(np.isfinite(w.value).all() for w in ws):
                 raise DivergenceError(
                     f"{arch.name} inner weights diverged at epoch {epoch + 1}/{cfg.epochs}, "

@@ -54,8 +54,35 @@ class TestPerOpGradients:
     def test_silu(self):
         check_unary(ad.silu)
 
-    def test_silu_prime(self):
-        check_unary(ad.silu_prime)
+    def test_mul_silu_prime(self):
+        g0, z0 = RNG.uniform(-2.0, 2.0, (3, 4)), RNG.uniform(-2.0, 2.0, (3, 4))
+
+        def f(p, t):
+            out = ad.mul_silu_prime(t.leaf(p["g"], name="g", param=True),
+                                    t.leaf(p["z"], name="z", param=True))
+            return ad.sum_all(ad.mul(out, out))
+        assert gradcheck(f, {"g": g0, "z": z0}) < 1e-7
+
+    @pytest.mark.parametrize("ws, gs", [((3, 4), (3, 4)), ((3, 4), (2, 3, 4))],
+                             ids=["same", "per_sample"])
+    def test_sub_scaled(self, ws, gs):
+        def f(p, t):
+            out = ad.sub_scaled(t.leaf(p["w"], name="w", param=True),
+                                t.leaf(p["g"], name="g", param=True), 0.7)
+            return ad.sum_all(ad.mul(out, out))
+        assert gradcheck(f, {"w": RNG.standard_normal(ws), "g": RNG.standard_normal(gs)}) < 1e-7
+
+    # aᵀ·g for a weight (2-D, per-sample, shared rows against per-sample g, conv
+    # patches) and g·bᵀ for an activation (shared and per-sample b)
+    @pytest.mark.parametrize("sa, sb, side", [
+        ((5, 3), (5, 4), 0), ((2, 5, 3), (2, 5, 4), 0), ((5, 3), (2, 5, 4), 0),
+        ((2, 4, 18), (2, 4, 2), 0), ((2, 5, 4), (3, 4), 1), ((2, 5, 4), (2, 3, 4), 1)])
+    def test_matmul_t(self, sa, sb, side):
+        def f(p, t):
+            out = ad.matmul_t(t.leaf(p["a"], name="a", param=True),
+                              t.leaf(p["b"], name="b", param=True), side)
+            return ad.sum_all(ad.mul(out, out))
+        assert gradcheck(f, {"a": RNG.standard_normal(sa), "b": RNG.standard_normal(sb)}) < 1e-7
 
     def test_sigmoid(self):
         check_unary(ad.sigmoid)
@@ -73,8 +100,10 @@ class TestPerOpGradients:
         check_unary(ad.clip_min, c=0.1, low=0.2, high=2.0)
 
     def test_transpose_reshape_rows_pad(self):
+        # the transpose is the transposed-view GEMM against the identity
         def op(x):
-            y = ad.transpose(ad.reshape(x, (4, 3)))
+            y = ad.reshape(x, (4, 3))
+            y = ad.matmul_t(y, y.tape.leaf(np.eye(4)), 0)
             y = ad.rows(y, 1, 3)
             return ad.pad_rows(y, 5, 2, 4)
         check_unary(op)
@@ -155,14 +184,17 @@ class TestPerOpGradients:
             T.matmul(x0, w0)
         assert fc.total == ref.total + m * n
 
-    # FLOPs per element of each elementwise tape op's forward
+    # FLOPs per element of each elementwise tape op's forward; an "x" in args is a
+    # second operand of x's shape. The fused ops count what their pairs counted:
+    # silu_prime's 6 and mul's 1, scale's 1 and sub's 1.
     @pytest.mark.parametrize("op, args, per_element", [
-        ("silu", (), 4), ("silu_prime", (), 6), ("sigmoid", (), 3), ("sign", (), 1),
+        ("silu", (), 4), ("mul_silu_prime", ("x",), 7), ("sigmoid", (), 3), ("sign", (), 1),
         ("sqrt_", (), 1), ("reciprocal", (), 1), ("clip_min", (0.5,), 1),
-        ("huber_prime", (), 2), ("scale", (2.0,), 1)])
+        ("huber_prime", (), 2), ("scale", (2.0,), 1), ("sub_scaled", ("x", 2.0), 2)])
     def test_elementwise_op_counts_its_flops(self, op, args, per_element):
         t = Tape()
         x = t.leaf(np.abs(RNG.standard_normal((4, 8))) + 0.1)
+        args = [t.leaf(np.ones((4, 8))) if a == "x" else a for a in args]
         with T.count_flops() as fc:
             getattr(ad, op)(x, *args)
         assert fc.total == per_element * 32
@@ -315,7 +347,7 @@ class TestBackwardContract:
         for t in (t1, t2):
             x = t.leaf(RNG.standard_normal((4, 4)) * 0 + np.arange(16.0).reshape(4, 4),
                        name="x", param=True)
-            y = ad.add(ad.mul(x, x), ad.transpose(x))
+            y = ad.add(ad.mul(x, x), ad.matmul_t(x, x, 0))
             outs.append(t.backward(ad.sum_all(y))["x"])
         assert np.array_equal(outs[0], outs[1])
 
@@ -766,7 +798,7 @@ class TestNonRecordingTape:
     def test_records_nothing(self):
         t = Tape(record=False)
         x = t.leaf(np.arange(6.0).reshape(2, 3), name="x", param=True)
-        y = ad.sum_all(ad.scale(ad.matmul(x, ad.transpose(x)), 2.0))
+        y = ad.sum_all(ad.scale(ad.matmul_t(x, x, 1), 2.0))
         assert t.nodes == [] and t.params == {}
         assert float(y.value) == 166.0
         assert y.inputs == () and y.vjp is None and not y.requires

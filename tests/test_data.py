@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tttlab.data import (CROP_PAD, FormatError, augment, crop_shift, find_cifar10, load_cifar10,
-                         synth_recall_task, synthetic_cifar, write_synthetic_cifar)
+                         missing_cifar10, synth_recall_task, synthetic_cifar,
+                         write_synthetic_cifar)
 
 # the six files of CIFAR-10's binary layout
 CIFAR_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
@@ -69,8 +72,19 @@ class TestCifarLoader:
     def test_single_batch_file_refused(self, tmp_path):
         # the loader reads a directory of batch files, never one file
         (tmp_path / "test_batch.bin").write_bytes(make_record(3, 255))
-        with pytest.raises(FormatError, match="missing CIFAR-10 batch file"):
+        with pytest.raises(FormatError, match="not a directory"):
             load_cifar10(str(tmp_path / "test_batch.bin"), "test")
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_file_path_is_named_not_a_directory(self, tmp_path, split):
+        write_synthetic_cifar(str(tmp_path), seed=1, n_train=5, n_test=1)
+        path = str(tmp_path / "test_batch.bin")
+        message = f"^CIFAR-10 path {re.escape(repr(path))} is not a directory$"
+        with pytest.raises(FormatError, match=message):
+            load_cifar10(path, split)
+        with pytest.raises(FormatError, match=message):
+            missing_cifar10(path)
+        assert find_cifar10(path) is None
 
     def test_directory_split_layout(self, tmp_path):
         write_synthetic_cifar(str(tmp_path), seed=1, n_train=50, n_test=20)

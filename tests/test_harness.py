@@ -144,6 +144,12 @@ class TestRunConfig:
                 RunConfig.from_dict(doc)
         RunConfig.from_dict({"task": "cifar", "data_path": tiny_cifar})
 
+    def test_cifar_data_path_that_is_a_file_rejected(self, tiny_cifar):
+        path = os.path.join(tiny_cifar, "test_batch.bin")
+        with pytest.raises(ValueError, match=f"^CIFAR-10 path {re.escape(repr(path))} "
+                                             "is not a directory$"):
+            RunConfig.from_dict({"task": "cifar", "data_path": path})
+
     def test_cifar_data_path_missing_a_batch_file_rejected(self, tmp_path, tiny_cifar):
         # a dir holding only some of the six files names the first one it lacks
         for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
@@ -728,6 +734,19 @@ class TestCli:
         assert exc.value.code == 2
         assert "data_path 'empty' holds no CIFAR-10" in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["empty"]
+
+    def test_cifar_data_file_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        from tttlab.cli import main
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "test_batch.bin").write_bytes(bytes(3073))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--task", "cifar", "--data", "test_batch.bin", "--epochs", "1",
+                  "--train-size", "16", "--val-size", "8"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "CIFAR-10 path 'test_batch.bin' is not a directory" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["test_batch.bin"]
 
     def test_cifar_data_missing_a_batch_file_is_a_usage_error(self, capsys, tmp_path,
                                                                monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from tttlab.inner import (ARCH_NAMES, INNER_LOSSES, LOSSES, DivergenceError, Inn
                           InnerModel, InnerTrainConfig, PartitionError, dynamic_rate,
                           get_arch, inner_loss_grad, inner_update, inner_update_nodes,
                           partition_batches)
+from tttlab.layer import ttt_attention_nodes
 
 RNG = np.random.default_rng(21)
 
@@ -590,7 +593,7 @@ def full_grid_update(arch, ws, k, v, cfg, rate, grid):
         if arch.name == "dwconv3x3":
             g = ad.dwconv3x3_wgrad(kg, ad.reshape(dv, (*lead, *grid, d)))
             return ad.reshape(g, g.value.shape[1:]) if not lead else g
-        g = ad.matmul(ad.transpose(ad.patches(kg)), dv)
+        g = ad.matmul_t(ad.patches(kg), dv, 0)
         return ad.reshape(g, (*lead, 3, 3, d, d))
 
     for _ in range(cfg.epochs):
@@ -666,3 +669,55 @@ class TestConvHalo:
         assert arch.context(12, 24, (5, 7)) == (0, 35)      # rows 1-3 + halo 0 and 4
         assert arch.context(24, 35, (5, 7)) == (14, 35)     # rows 3-4 + halo row 2
         assert get_arch("gated_fc").context(12, 24, (5, 7)) == (12, 24)
+
+
+def _step_ops(arch, loss, dynamic):
+    """The op of every node one batched inner step records, after its inputs."""
+    t = Tape()
+    k, v = (t.leaf(RNG.standard_normal((2, 5, 4))) for _ in range(2))
+    ws = [t.leaf(w) for w in get_arch(arch).init(RNG, 4)]
+    rate = t.leaf(np.full((2, 5, 1), 0.5)) if dynamic else None
+    first = len(t.nodes)
+    inner_update_nodes(get_arch(arch), ws, k, v,
+                       InnerTrainConfig(loss=loss, dynamic_lr=dynamic), rate)
+    return [node.op for node in t.nodes[first:]]
+
+
+def _workload_logits_nodes(name, tmp_path):
+    """Nodes on the tape of one forward of perfbench's workload `name` at its tiny
+    size: the logits of one batch, or the layer output for long_seq."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    wl = WORKLOADS[name](0, "tiny", str(tmp_path))
+    tape = Tape()
+    if wl.is_model:
+        wl.model.logits_nodes(tape, wl.xv[:wl.batch])
+    else:
+        leaves = {k: tape.leaf(v, name=k, param=True) for k, v in wl.params.named_arrays().items()}
+        ttt_attention_nodes(tape.leaf(wl.x), leaves, wl.params, wl.cfg, wl.grid)
+    return len(tape.nodes)
+
+
+class TestInnerStepNodes:
+    """What one inner step records, pinned so that a node put back fails: the walk
+    reads transposed views (`matmul_t`), SiLU' and its product are one op, and a
+    fixed-rate step is one `sub_scaled` per weight."""
+
+    FORWARD = ["matmul", "matmul", "silu", "mul", "scale"]    # gated_fc, then dot's grad
+    WALK = ["mul", "mul", "mul_silu_prime", "matmul_t", "matmul_t"]
+
+    def test_gated_fc_fixed_rate(self):
+        assert _step_ops("gated_fc", "dot", False) == [*self.FORWARD, *self.WALK,
+                                                       "sub_scaled", "sub_scaled"]
+
+    def test_gated_fc_dynamic_rate(self):
+        assert _step_ops("gated_fc", "dot", True) == [*self.FORWARD, "mul", *self.WALK,
+                                                      "sub", "sub"]
+
+    @pytest.mark.parametrize("name, nodes", [("cifar_train", 69), ("recall_train", 67),
+                                             ("long_seq", 84)])
+    def test_workload_logits_tape(self, name, nodes, tmp_path):
+        assert _workload_logits_nodes(name, tmp_path) == nodes

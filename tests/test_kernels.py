@@ -3,7 +3,9 @@
 Each reference below is the plain numpy formula: the broadcast matmul with
 its cotangents summed back by `_unbroadcast`, matmul followed by a bias add,
 `linear` followed by `silu` (which `linear_silu` fuses), `ad.add` after a
-matmul, linear or depthwise conv (which the residual ops fuse),
+matmul, linear or depthwise conv (which the residual ops fuse), a transposed
+copy then matmul (which `matmul_t` reads as a view), `scale` then `sub`
+(`sub_scaled`), SiLU' then a product (`mul_silu_prime`),
 the `np.var` LayerNorm, the tanh sigmoid, the nine shifted multiply-adds of
 the depthwise conv, the windowed `.sum(axis=(1, 2))` kernel gradient, and the
 nine-copy im2col. Kernels that only reorder elementwise passes must match
@@ -211,6 +213,88 @@ class TestMatmulKernels:
             T.linear(np.ones((4, 5)), np.ones((5, 3)), np.zeros(4))
         with pytest.raises(T.DimensionError):
             T.linear(np.ones((4, 5)), np.ones((4, 3)), np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# the inner step's ops: each replaces a pair of ops
+
+def ref_matmul_t(av, bv, side, g):
+    """Value, FLOPs and cotangents of a @ b with operand `side` first copied
+    transposed, as the walker formed aᵀ·g and g·bᵀ before `matmul_t`."""
+    t = Tape()
+    leaves = [t.leaf(v, name=f"p{i}", param=True) for i, v in enumerate((av, bv))]
+    leaves[side] = t.leaf(T.transpose(leaves[side].value), name="t", param=True)
+    with T.count_flops() as fc:
+        out = ad.matmul(*leaves)
+    cots = list(out.vjp(g))
+    cots[side] = np.swapaxes(cots[side], -1, -2)
+    return out.value, fc.total, cots
+
+
+# (a, b, side): aᵀ·g for a weight's cotangent, g·bᵀ for an activation's
+MATMUL_T_SHAPES = [((16, 12), (16, 12), 0),              # unbatched rows: one 2-D GEMM
+                   ((8, 16, 12), (8, 16, 12), 0),        # per-sample [b, n, d]
+                   ((16, 12), (8, 16, 12), 0),           # shared rows, per-sample g
+                   ((64, 64, 16), (64, 64, 16), 0),      # cifar's gated_fc heads
+                   ((1024, 32), (1024, 32), 0),          # a long_seq mini-batch
+                   ((8, 16, 108), (8, 16, 12), 0),       # conv3x3 patches [b, n, 9d]
+                   ((9, 36), (9, 4), 0),                 # unbatched conv3x3 patches
+                   ((16, 12), (10, 12), 1),              # unbatched rows
+                   ((8, 16, 12), (12, 12), 1),           # shared weight: folded rows
+                   ((8, 16, 12), (8, 12, 12), 1),        # per-sample weight
+                   ((8, 16, 12), (8, 108, 12), 1)]       # per-sample folded conv3x3 kernel
+
+
+class TestInnerStepOps:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("sa,sb,side", MATMUL_T_SHAPES)
+    def test_matmul_t_matches_transposed_copy_then_matmul(self, sa, sb, side, dtype):
+        # BLAS reads a transposed view through its own kernel, which may group a
+        # product's terms differently at small sizes, so values are held to the
+        # GEMM tolerance; the golden digests pin the workloads' bits
+        rng = np.random.default_rng(17)
+        av, bv = randn(rng, sa, dtype), randn(rng, sb, dtype)
+        t = Tape()
+        a, b = (t.leaf(v, name=f"p{i}", param=True) for i, v in enumerate((av, bv)))
+        with T.count_flops() as fc:
+            node = ad.matmul_t(a, b, side)
+        g = randn(rng, node.value.shape, dtype)
+        ref, ref_flops, ref_cots = ref_matmul_t(av, bv, side, g)
+        abs_out, _, abs_cots = ref_matmul_t(np.abs(av), np.abs(bv), side, np.abs(g))
+        assert fc.total == ref_flops
+        assert_close(node.value, ref, abs_out, dtype)
+        for got, want, scale in zip(node.vjp(g), ref_cots, abs_cots, strict=True):
+            assert_close(got, want, scale, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("ws,gs", [((12, 12), (12, 12)), ((12, 12), (8, 12, 12)),
+                                       ((8, 12, 12), (8, 12, 12))])
+    def test_sub_scaled_bit_identical_to_scale_then_sub(self, ws, gs, dtype):
+        rng = np.random.default_rng(18)
+        values = [randn(rng, ws, dtype), randn(rng, gs, dtype)]
+        got = _residual_run(lambda w, g: ad.sub_scaled(w, g, 0.3), values)
+        want = _residual_run(lambda w, g: ad.sub(w, ad.scale(g, 0.3)), values)
+        assert got[1] == want[1]
+        for a, b in zip([got[0], *got[2]], [want[0], *want[2]], strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_mul_silu_prime_bit_identical_to_silu_prime_then_mul(self, dtype):
+        # the formulas of the silu_prime op it replaces: its value s (1 + x (1 - s))
+        # and vjp c s(1-s) (2 + x(1-2s)), and mul's cotangents of g * SiLU'
+        rng = np.random.default_rng(19)
+        gv, x, c = (randn(rng, (8, 16, 12), dtype) * 3 for _ in range(3))
+        s = T.sigmoid(x)
+        prime = s * (1.0 + x * (1.0 - s))
+        out, node = tape_op(ad.mul_silu_prime, gv, x)
+        dg, dz = node.vjp(c)
+        assert np.array_equal(out, gv * prime)
+        assert np.array_equal(dg, c * prime)
+        assert np.array_equal(dz, (c * gv) * (s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))))
+
+    def test_mul_silu_prime_needs_same_shapes(self):
+        with pytest.raises(T.DimensionError, match="^mul_silu_prime: g"):
+            tape_op(ad.mul_silu_prime, np.ones((2, 4, 3)), np.ones((4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +543,6 @@ def poisoned(shape):
 
 
 LAYOUT_OPS = {"reshape": lambda x: ad.reshape(x, (4, 6)),
-              "transpose": ad.transpose,
               "rows": lambda x: ad.rows(x, 1, 3),
               "pad_rows": lambda x: ad.pad_rows(x, 6, 1, 5),
               "concat_last": lambda x: ad.concat_last([x, x])}
@@ -602,15 +685,32 @@ class TestDebugCoverage:
         with pytest.raises(T.NonFiniteError, match="^scale vjp produced"):
             node.vjp(nan_like(node.value))
 
-    def test_silu_prime(self):
+    def test_sub_scaled(self):
+        with pytest.raises(T.NonFiniteError, match="^sub_scaled produced"):
+            tape_op(lambda w, g: ad.sub_scaled(w, g, 0.5), poisoned((4, 6)), np.ones((4, 6)))
+        _, node = tape_op(lambda w, g: ad.sub_scaled(w, g, 0.5), np.ones((4, 6)),
+                          np.ones((2, 4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^sub_scaled vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    def test_mul_silu_prime(self):
         # at +inf the sigmoid is a finite 1 but x (1 - s) is inf * 0
         x = np.ones((4, 6))
         x[1, 2] = np.inf
         with np.errstate(invalid="ignore"), \
-                pytest.raises(T.NonFiniteError, match="^silu_prime produced"):
-            tape_op(ad.silu_prime, x)
-        _, node = tape_op(ad.silu_prime, np.ones((4, 6)))
-        with pytest.raises(T.NonFiniteError, match="^silu_prime vjp produced"):
+                pytest.raises(T.NonFiniteError, match="^mul_silu_prime produced"):
+            tape_op(ad.mul_silu_prime, np.ones((4, 6)), x)
+        _, node = tape_op(ad.mul_silu_prime, np.ones((4, 6)), np.ones((4, 6)))
+        with pytest.raises(T.NonFiniteError, match="^mul_silu_prime vjp produced"):
+            node.vjp(nan_like(node.value))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_matmul_t(self, side):
+        with pytest.raises(T.NonFiniteError, match="^matmul_t produced"):
+            value_op(lambda a, b: ad.matmul_t(a, b, side), poisoned((2, 4, 3)), np.ones((2, 4, 3)))
+        _, node = tape_op(lambda a, b: ad.matmul_t(a, b, side), np.ones((2, 4, 3)),
+                          np.ones((2, 4, 3)))
+        with pytest.raises(T.NonFiniteError, match="^matmul_t vjp produced"):
             node.vjp(nan_like(node.value))
 
     def test_sqrt(self):
@@ -707,7 +807,8 @@ def _recall_step():
     return lambda: model.loss_and_grads(task.tokens, task.labels)
 
 
-WALK_OPS = {"transpose", "matmul", "mul", "silu_prime"}
+# one inner step: the traced forward, the walk and the fixed-rate update
+WALK_OPS = {"matmul_t", "matmul", "mul", "mul_silu_prime", "sub_scaled"}
 
 
 class TestDebugOnFiniteStep:

@@ -161,18 +161,23 @@ class TestElementwise:
         assert T.sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_silu_prime_matches_difference_quotient(self):
+        # mul_silu_prime at g = 1 is SiLU'
         x = np.linspace(-3, 3, 11)
+        one = np.ones_like(x)
         eps = 1e-6
         num = (_value(ad.silu, x + eps) - _value(ad.silu, x - eps)) / (2 * eps)
-        assert np.abs(_value(ad.silu_prime, x) - num).max() < 1e-8
+        assert np.abs(_value(ad.mul_silu_prime, one, x) - num).max() < 1e-8
 
     def test_silu_second_matches_difference_quotient(self):
-        # silu_prime's vjp at g = 1 is SiLU''
+        # mul_silu_prime's cotangent of z at g = 1 is SiLU''
         x = np.linspace(-3, 3, 11)
+        one = np.ones_like(x)
         eps = 1e-5
-        num = (_value(ad.silu_prime, x + eps) - _value(ad.silu_prime, x - eps)) / (2 * eps)
+        num = (_value(ad.mul_silu_prime, one, x + eps)
+               - _value(ad.mul_silu_prime, one, x - eps)) / (2 * eps)
         t = Tape()
-        second = t.backward(ad.sum_all(ad.silu_prime(t.leaf(x, name="x", param=True))))["x"]
+        prime = ad.mul_silu_prime(t.leaf(one), t.leaf(x, name="x", param=True))
+        second = t.backward(ad.sum_all(prime))["x"]
         assert np.abs(second - num).max() < 1e-7
 
     def test_incompatible_shapes(self):
